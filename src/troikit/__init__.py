@@ -10,6 +10,7 @@ from .errors import (
     DataError,
     DimensionError,
     InvalidBoxError,
+    NumericError,
     TroikitError,
 )
 from .posenc import CoordEncoder, coord_encoding, encoding_matrix, order_rois, sinusoidal_encoding
@@ -43,7 +44,6 @@ from .tensor import (
     linear,
     matmul,
     max_pool2d,
-    mean_pool2d,
     no_grad,
     precision,
     reduce_max,

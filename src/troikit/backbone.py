@@ -199,19 +199,26 @@ def save_checkpoint(path, model: VideoClassifier) -> None:
             write_tensor(fh, p)
 
 
+def _read_exact(fh, size: int, what: str) -> bytes:
+    raw = fh.read(size)
+    if len(raw) != size:
+        raise DataError(f"checkpoint truncated in the {what}")
+    return raw
+
+
 def load_checkpoint(path, model: VideoClassifier) -> None:
     """Restore parameters in place; the stored digest must match the model."""
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise DataError(f"{path} is not a checkpoint file")
-        (dlen,) = struct.unpack("<I", fh.read(4))
-        digest = fh.read(dlen).decode()
+        (dlen,) = struct.unpack("<I", _read_exact(fh, 4, "digest length"))
+        digest = _read_exact(fh, dlen, "config digest").decode(errors="replace")
         if digest != model.config_digest():
             raise DataError(
                 f"checkpoint digest {digest[:12]}... does not match model configuration"
             )
-        (count,) = struct.unpack("<I", fh.read(4))
+        (count,) = struct.unpack("<I", _read_exact(fh, 4, "tensor count"))
         params = model.parameters()
         if count != len(params):
             raise DataError(f"checkpoint has {count} tensors, model expects {len(params)}")

@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .backbone import BackboneSpec, VideoClassifier, load_checkpoint
-from .errors import ConfigError, DataError, TroikitError
+from .errors import ConfigError, DataError, NumericError, TroikitError
 from .gradcheck import ALL_OPS, format_report, run_checks
 from .synth import CLASSES, CORRUPT_MODES, build_dataset, load_dataset, save_dataset
 from .tensor import precision
@@ -115,10 +115,12 @@ def _coerce(key: str, raw: str, default):
         if raw.lower() in ("false", "0", "no"):
             return False
         raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
-    if isinstance(default, int):
-        return int(raw)
-    if isinstance(default, float):
-        return float(raw)
+    if isinstance(default, (int, float)):
+        kind = type(default)
+        try:
+            return kind(raw)
+        except ValueError:
+            raise ConfigError(f"{key}: expected {kind.__name__}, got {raw!r}") from None
     return raw
 
 
@@ -448,6 +450,9 @@ def main(argv=None) -> int:
     except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except NumericError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     except TroikitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,6 +13,10 @@ class ContractError(TroikitError):
     """An API precondition was violated (bad label, stale gradients, ...)."""
 
 
+class NumericError(ContractError):
+    """A computed value that must be finite is NaN or infinite."""
+
+
 class InvalidBoxError(TroikitError):
     """An ROI box is degenerate or out of range."""
 

@@ -34,6 +34,8 @@ class RoiBox:
     def __post_init__(self):
         if self.frame < 0:
             raise InvalidBoxError(f"negative frame index {self.frame}")
+        if not all(map(math.isfinite, (self.x1, self.y1, self.x2, self.y2))):
+            raise InvalidBoxError(f"non-finite box coordinates {(self.x1, self.y1, self.x2, self.y2)}")
         if self.entity not in ENTITY_TAGS:
             raise InvalidBoxError(f"unknown entity tag {self.entity!r}")
 

@@ -14,6 +14,7 @@ from contextlib import contextmanager
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ContractError, DataError, DimensionError
 
@@ -140,10 +141,15 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
+def _accumulate(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
+    """Add ``g`` into ``t.grad``. ``owned`` marks ``g`` as a fresh array
+    that no other code holds, so a first gradient can adopt it uncopied."""
     if not t.requires_grad:
         return
     if t.grad is None:
+        if owned and g.shape == t.data.shape and g.dtype == t.data.dtype:
+            t.grad = g
+            return
         t.grad = np.zeros_like(t.data)
     t.grad += g
 
@@ -255,12 +261,12 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 def relu(a) -> Tensor:
     a = _as_tensor(a)
-    mask = a.data > 0  # derivative at exactly 0 is defined as 0
+    out = np.maximum(a.data, 0)
 
     def _bw(g):
-        _accumulate(a, g * mask)
+        _accumulate(a, g * (out > 0), owned=True)  # derivative at exactly 0 is defined as 0
 
-    return Tensor._result(np.maximum(a.data, 0), (a,), _bw)
+    return Tensor._result(out, (a,), _bw)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -521,11 +527,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
         raise DimensionError(f"conv2d: kernel {k} does not fit input {x.data.shape} with pad {pad}")
 
     xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad), (0, 0))) if pad else x.data
-    cols = np.empty((bsz, o1, o2, k, k, cin), dtype=x.data.dtype)
-    for i in range(k):
-        for j in range(k):
-            cols[:, :, :, i, j, :] = xp[:, i : i + stride * o1 : stride, j : j + stride * o2 : stride, :]
-    mat = cols.reshape(bsz * o1 * o2, k * k * cin)
+    # one copy of the strided patch view, columns in (k, k, c_in) order
+    win = sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::stride, ::stride]
+    mat = win.transpose(0, 1, 2, 4, 5, 3).reshape(bsz * o1 * o2, k * k * cin)
     wmat = w.data.reshape(k * k * cin, cout)
     out = mat @ wmat
     if b is not None:
@@ -537,32 +541,19 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
         if w.requires_grad:
             _accumulate(w, (mat.T @ gm).reshape(w.data.shape))
         if b is not None and b.requires_grad:
-            _accumulate(b, gm.sum(axis=0))
+            _accumulate(b, np.ones(gm.shape[0], dtype=gm.dtype) @ gm)
         if x.requires_grad:
-            dcols = (gm @ wmat.T).reshape(bsz, o1, o2, k, k, cin)
-            dxp = np.zeros_like(xp)
+            # one contiguous (batch, o1, o2, c_in) block per kernel tap, small
+            # enough to stay in cache while it is scattered back
+            dxp = np.zeros((bsz, s1 + 2 * pad, s2 + 2 * pad, cin), dtype=g.dtype)
             for i in range(k):
                 for j in range(k):
-                    dxp[:, i : i + stride * o1 : stride, j : j + stride * o2 : stride, :] += dcols[
-                        :, :, :, i, j, :
-                    ]
-            _accumulate(x, dxp[:, pad : pad + s1, pad : pad + s2, :] if pad else dxp)
+                    tap = (gm @ w.data[i, j].T).reshape(bsz, o1, o2, cin)
+                    dxp[:, i : i + stride * o1 : stride, j : j + stride * o2 : stride, :] += tap
+            _accumulate(x, dxp[:, pad : pad + s1, pad : pad + s2, :] if pad else dxp, owned=True)
 
     parents = (x, w) if b is None else (x, w, b)
     return Tensor._result(out, parents, _bw)
-
-
-def _pool_windows(data: np.ndarray, k: int, stride: int):
-    bsz, s1, s2, c = data.shape
-    o1 = (s1 - k) // stride + 1
-    o2 = (s2 - k) // stride + 1
-    if o1 < 1 or o2 < 1:
-        raise DimensionError(f"pool window {k} does not fit input {data.shape}")
-    win = np.empty((bsz, o1, o2, k * k, c), dtype=data.dtype)
-    for i in range(k):
-        for j in range(k):
-            win[:, :, :, i * k + j, :] = data[:, i : i + stride * o1 : stride, j : j + stride * o2 : stride, :]
-    return win, o1, o2
 
 
 def max_pool2d(x: Tensor, k: int = 2, stride: int | None = None) -> Tensor:
@@ -577,14 +568,14 @@ def max_pool2d(x: Tensor, k: int = 2, stride: int | None = None) -> Tensor:
     if o1 < 1 or o2 < 1:
         raise DimensionError(f"pool window {k} does not fit input {x.data.shape}")
 
-    def window(i, j):
-        return x.data[:, i : i + stride * o1 : stride, j : j + stride * o2 : stride, :]
+    def window(a, i, j):
+        return a[:, i : i + stride * o1 : stride, j : j + stride * o2 : stride, :]
 
-    out = window(0, 0).copy()
+    out = window(x.data, 0, 0).copy()
     for i in range(k):
         for j in range(k):
             if i or j:
-                np.maximum(out, window(i, j), out=out)
+                np.maximum(out, window(x.data, i, j), out=out)
 
     def _bw(g):
         if not x.requires_grad:
@@ -593,35 +584,14 @@ def max_pool2d(x: Tensor, k: int = 2, stride: int | None = None) -> Tensor:
         live = np.ones(out.shape, dtype=bool)  # first maximum takes the gradient
         for i in range(k):
             for j in range(k):
-                hit = (window(i, j) == out) & live
-                view = gx[:, i : i + stride * o1 : stride, j : j + stride * o2 : stride, :]
-                view += g * hit
-                live &= ~hit
-        _accumulate(x, gx)
-
-    return Tensor._result(out, (x,), _bw)
-
-
-def mean_pool2d(x: Tensor, k: int = 2, stride: int | None = None) -> Tensor:
-    """Windowed mean over the two spatial axes."""
-    x = _as_tensor(x)
-    if x.data.ndim != 4:
-        raise DimensionError(f"mean_pool2d expects 4-d input, got {x.data.shape}")
-    stride = stride or k
-    win, o1, o2 = _pool_windows(x.data, k, stride)
-    out = win.mean(axis=3)
-    inv = 1.0 / (k * k)
-
-    def _bw(g):
-        if not x.requires_grad:
-            return
-        gx = np.zeros_like(x.data)
-        gshare = g * inv
-        for i in range(k):
-            for j in range(k):
-                view = gx[:, i : i + stride * o1 : stride, j : j + stride * o2 : stride, :]
-                view += gshare
-        _accumulate(x, gx)
+                hit = window(x.data, i, j) == out
+                hit &= live
+                live ^= hit
+                if stride < k:  # overlapping windows share input cells
+                    window(gx, i, j)[...] += g * hit
+                else:
+                    np.multiply(g, hit, out=window(gx, i, j))
+        _accumulate(x, gx, owned=True)
 
     return Tensor._result(out, (x,), _bw)
 

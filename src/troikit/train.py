@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from .backbone import VideoClassifier, save_checkpoint
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, NumericError
 from .synth import SynthVideo, corrupt_rois
 from .tensor import Tensor, backward, cross_entropy, no_grad, zero_grad
 
@@ -166,6 +166,8 @@ def train_model(
             for idx in _batches(len(train_videos), cfg.batch_size, order):
                 logits, labels = _forward_batch(model, train_videos, idx)
                 loss = cross_entropy(logits, labels)
+                if not np.isfinite(loss.data):
+                    raise NumericError(f"non-finite training loss {loss.item()} at epoch {epoch}, batch {len(losses)}")
                 backward(loss)
                 sgd_step(params, state, lr, cfg.momentum, cfg.weight_decay)
                 zero_grad(only_params)

@@ -81,6 +81,25 @@ def max_pool_loops(x, k=2, stride=2):
     return out
 
 
+def max_pool_grad_loops(x, g, k=2, stride=2):
+    """Gradient of sum(g * max_pool(x)): each window passes its g to the
+    first maximum in row-major window order."""
+    gx = np.zeros(x.shape, dtype=np.float64)
+    bsz, o1, o2, c = g.shape
+    for n in range(bsz):
+        for i in range(o1):
+            for j in range(o2):
+                for ch in range(c):
+                    best = None
+                    for di in range(k):
+                        for dj in range(k):
+                            v = x[n, i * stride + di, j * stride + dj, ch]
+                            if best is None or v > best[0]:
+                                best = (v, di, dj)
+                    gx[n, i * stride + best[1], j * stride + best[2], ch] += g[n, i, j, ch]
+    return gx
+
+
 def bilinear_at(plane, fx, fy):
     """Value at continuous feature coordinates with half-cell centres and
     border clamping; plane is (W, H)."""

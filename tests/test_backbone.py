@@ -126,6 +126,19 @@ class TestCheckpoint:
         with pytest.raises(DataError):
             load_checkpoint(path, VideoClassifier(SMALL, None, seed=0))
 
+    # magic (8 bytes), digest length (4), digest (64), tensor count (4), tensors
+    @pytest.mark.parametrize(
+        "cut, field",
+        [(5, "not a checkpoint"), (10, "digest length"), (40, "config digest"), (78, "tensor count"), (82, "tensor header")],
+    )
+    def test_truncated_header_is_data_error(self, tmp_path, cut, field):
+        model = VideoClassifier(SMALL, TroiConfig(), seed=0)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model)
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(DataError, match=field):
+            load_checkpoint(path, model)
+
     def test_arch_text_distinguishes_configs(self):
         a = VideoClassifier(SMALL, TroiConfig(), seed=0)
         b = VideoClassifier(SMALL, TroiConfig(layers=2), seed=0)

@@ -1,10 +1,12 @@
+import dataclasses
 import hashlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from troikit.cli import main
-from troikit.synth import load_dataset
+from troikit.synth import load_dataset, save_dataset
 
 
 def dir_digest(path):
@@ -27,6 +29,15 @@ def tiny_data(tmp_path_factory):
             ]
         )
         assert code == 0
+    return root
+
+
+@pytest.fixture(scope="module")
+def nan_data(tiny_data, tmp_path_factory):
+    videos = load_dataset(tiny_data / "train")
+    videos[0] = dataclasses.replace(videos[0], frames=np.full_like(videos[0].frames, np.nan))
+    root = tmp_path_factory.mktemp("nan-data")
+    save_dataset(root, videos)
     return root
 
 
@@ -145,6 +156,22 @@ class TestTrain:
         ) == 0
         assert again.exists()
 
+    def test_non_numeric_config_value_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("per_class = abc\n")
+        assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 2
+        assert "per_class: expected int, got 'abc'" in capsys.readouterr().err
+        cfg.write_text("lr = fast\n")
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "x.ckpt")]) == 2
+
+    def test_non_finite_loss_exits_4(self, nan_data, tiny_data, tmp_path, capsys):
+        assert main(
+            ["train", "--data", str(nan_data), "--val-data", str(tiny_data / "val"),
+             "--out", str(tmp_path / "nan.ckpt"), "--epochs", "1", "--batch-size", "6",
+             "--channels", "4,6,8,8"]
+        ) == 4
+        assert "non-finite training loss" in capsys.readouterr().err
+
     def test_unknown_config_key_rejected(self, tiny_data, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("eppochs = 1\n")
@@ -191,6 +218,13 @@ class TestGradcheckCommand:
 
 
 class TestAblate:
+    def test_non_finite_loss_exits_4(self, nan_data, tiny_data, tmp_path, capsys):
+        assert main(
+            ["ablate", "--data", str(nan_data), "--val-data", str(tiny_data / "val"),
+             "--out-dir", str(tmp_path / "ablation"), "--epochs", "1", "--batch-size", "6"]
+        ) == 4
+        assert "non-finite training loss" in capsys.readouterr().err
+
     @pytest.mark.slow
     def test_grid_completes_and_emits_table(self, tiny_data, tmp_path, capsys):
         out_dir = tmp_path / "ablation"

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from troikit.errors import ContractError, InvalidBoxError
 from troikit.rois import (
@@ -47,6 +51,17 @@ class TestRoiAlign:
         for _ in range(10):
             out = roi_align(grid, random_box(rng), out=2)
             assert np.allclose(out.data, 2.5, atol=1e-6)
+
+    @given(
+        st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+        st.integers(0, 3),
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_non_finite_coordinate_rejected(self, coords, slot, bad):
+        coords[slot] = bad
+        with pytest.raises(InvalidBoxError, match="non-finite"):
+            RoiBox(0, *coords)
 
     def test_degenerate_box_rejected(self):
         grid = Tensor(np.zeros((4, 4, 1)))

@@ -14,7 +14,6 @@ from troikit.tensor import (
     layer_norm,
     matmul,
     max_pool2d,
-    mean_pool2d,
     mul,
     no_grad,
     precision,
@@ -30,6 +29,20 @@ from troikit.tensor import (
 )
 
 import oracles
+
+CONV_CASES = ((1, 0), (1, 1), (2, 1))  # (stride, pad)
+
+
+def assert_matches_finite_differences(fn, leaves, tol=1e-7):
+    """Every coordinate of every leaf's analytic gradient against a
+    central difference of the scalar ``fn()`` (f64, piecewise-linear ops)."""
+    backward(fn())
+    grads = [leaf.grad.copy() for leaf in leaves]
+    zero_grad(leaves)
+    for leaf, grad in zip(leaves, grads):
+        for idx in range(leaf.size):
+            num = oracles.central_difference(lambda: fn().item(), leaf.data, idx)
+            assert abs(num - grad.flat[idx]) <= tol * max(1.0, abs(num)), (leaf.shape, idx)
 
 
 class TestMatmul:
@@ -138,10 +151,6 @@ class TestElementwiseAndPooling:
         backward(reduce_sum(relu(x)))
         assert x.grad[0] == 0.0
 
-    def test_mean_pool_block(self):
-        x = Tensor(np.array([[0.0, 1.0], [2.0, 3.0]]).reshape(1, 2, 2, 1))
-        assert mean_pool2d(x, 2).data.ravel()[0] == pytest.approx(1.5)
-
     def test_conv_ones_counting_case(self):
         x = Tensor(np.ones((1, 5, 5, 1)))
         w = Tensor(np.ones((3, 3, 1, 1)))
@@ -151,13 +160,61 @@ class TestElementwiseAndPooling:
 
     def test_conv_matches_loops(self, rng):
         with precision("f64"):
-            for stride, pad in ((1, 0), (1, 1), (2, 1)):
+            for stride, pad in CONV_CASES:
                 x = rng.normal(size=(2, 6, 6, 3))
                 w = rng.normal(size=(3, 3, 3, 4))
                 b = rng.normal(size=4)
                 out = conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, pad=pad)
                 ref = oracles.conv2d_loops(x, w, b, stride=stride, pad=pad)
                 assert np.allclose(out.data, ref, atol=1e-12, rtol=0)
+
+    @pytest.mark.parametrize("stride, pad", CONV_CASES)
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("x_grad", [True, False])
+    def test_conv_gradients_match_finite_differences(self, rng, stride, pad, bias, x_grad):
+        with precision("f64"):
+            x = Tensor(rng.normal(size=(2, 6, 6, 3)), requires_grad=x_grad)
+            w = Tensor(rng.normal(size=(3, 3, 3, 4)), requires_grad=True)
+            b = Tensor(rng.normal(size=4), requires_grad=True) if bias else None
+            proj = Tensor(rng.normal(size=conv2d(x, w, b, stride=stride, pad=pad).shape))
+
+            def fn():
+                return reduce_sum(mul(conv2d(x, w, b, stride=stride, pad=pad), proj))
+
+            leaves = [t for t in (x, w, b) if t is not None and t.requires_grad]
+            assert_matches_finite_differences(fn, leaves)
+            if not x_grad:
+                assert x.grad is None
+
+    @pytest.mark.parametrize(
+        "shape, k, stride",
+        [((2, 6, 6, 3), 2, None), ((2, 5, 7, 3), 2, None), ((1, 7, 7, 2), 3, 2), ((1, 7, 8, 2), 2, 3)],
+        ids=["even", "odd-size", "overlapping", "gapped"],
+    )
+    def test_max_pool_gradients_match_finite_differences(self, rng, shape, k, stride):
+        with precision("f64"):
+            x = Tensor(rng.normal(size=shape), requires_grad=True)
+            out = max_pool2d(x, k, stride)
+            assert np.array_equal(out.data, oracles.max_pool_loops(x.data, k, stride or k))
+            proj = Tensor(rng.normal(size=out.shape))
+
+            def fn():
+                return reduce_sum(mul(max_pool2d(x, k, stride), proj))
+
+            assert_matches_finite_differences(fn, [x])
+            backward(fn())
+            ref = oracles.max_pool_grad_loops(x.data, proj.data, k, stride or k)
+            assert np.allclose(x.grad, ref, atol=1e-12, rtol=0)
+
+    @pytest.mark.parametrize("k, stride", [(2, 2), (3, 2), (2, 3)])
+    def test_max_pool_tied_windows_route_to_first_max(self, rng, k, stride):
+        with precision("f64"):
+            x = Tensor(rng.integers(0, 2, size=(2, 7, 7, 3)).astype(float), requires_grad=True)
+            out = max_pool2d(x, k, stride)
+            proj = Tensor(rng.normal(size=out.shape))
+            backward(reduce_sum(mul(out, proj)))
+            ref = oracles.max_pool_grad_loops(x.data, proj.data, k, stride)
+            assert np.allclose(x.grad, ref, atol=1e-12, rtol=0)
 
     def test_max_pool_matches_loops(self, rng):
         x = rng.normal(size=(2, 6, 6, 3))

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import troikit as tk
-from troikit.errors import ConfigError, ContractError
+from troikit.errors import ConfigError, ContractError, NumericError
 from troikit.tensor import Tensor, precision
 from troikit.train import (
     TrainConfig,
@@ -179,6 +181,18 @@ class TestTrainLoop:
             # are required to line up exactly
             assert first == full[:2]
             assert len(resumed) == 1 and resumed[0].split()[0] == "epoch=2"
+
+    def test_non_finite_loss_stops_before_any_update(self, tmp_path):
+        model, train, val = small_setup()
+        train[3] = dataclasses.replace(train[3], frames=np.full_like(train[3].frames, np.nan))
+        before = [p.data.copy() for _, p in model.parameters()]
+        log = tmp_path / "run.log"
+        cfg = TrainConfig(epochs=2, batch_size=len(train), lr=0.02, seed=0)
+        with pytest.raises(NumericError, match="non-finite training loss nan at epoch 0, batch 0"):
+            train_model(model, train, val, cfg, log_path=log)
+        assert issubclass(NumericError, ContractError)
+        assert all(np.array_equal(b, p.data) for b, (_, p) in zip(before, model.parameters()))
+        assert log.read_text() == ""
 
     @pytest.mark.slow
     def test_overfits_small_set(self):
