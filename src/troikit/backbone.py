@@ -19,7 +19,6 @@ from .errors import ConfigError, DataError
 from .rois import RoiBox
 from .tensor import (
     Tensor,
-    concat_axis0,
     conv2d,
     cross_entropy,
     init_relu_uniform,
@@ -29,7 +28,6 @@ from .tensor import (
     reduce_mean,
     relu,
     reshape,
-    slice_axis0,
     write_tensor,
     zeros_param,
 )
@@ -93,7 +91,9 @@ class VideoClassifier:
         rois_per_video: Sequence[Sequence[RoiBox]],
         record_attention: list | None = None,
     ) -> Tensor:
-        """(B, T, S, S, 3) videos to (B, classes) logits."""
+        """(B, T, S, S, 3) videos to (B, classes) logits. ``record_attention``
+        collects the ROI module's attention matrices, in the layout that
+        ``TroiModule.forward`` documents."""
         spec = self.spec
         if videos.data.ndim != 5 or videos.data.shape[1:] != (spec.frames, spec.size, spec.size, spec.in_channels):
             raise ConfigError(
@@ -108,24 +108,17 @@ class VideoClassifier:
         for stage in range(4):
             x = max_pool2d(relu(conv2d(x, self.stage_weights[stage], self.stage_biases[stage], pad=1)))
             if self.troi is not None and stage == self._insert_after:
-                x = self._apply_troi(x, bsz, stage, rois_per_video, record_attention)
+                x = self._apply_troi(x, rois_per_video, record_attention)
         side = spec.stage_side(3)
         feats = reduce_mean(
             reshape(x, (bsz, spec.frames * side * side, spec.channels[-1])), axis=1
         )
         return linear(feats, self.head_w, self.head_b)
 
-    def _apply_troi(self, x, bsz, stage, rois_per_video, record_attention):
-        spec = self.spec
-        side = spec.stage_side(stage)
-        c = spec.channels[stage]
-        maps = reshape(x, (bsz, spec.frames, side, side, c))
-        parts = []
-        for v in range(bsz):
-            block = reshape(slice_axis0(maps, v, v + 1), (spec.frames, side, side, c))
-            block = self.troi.forward(block, rois_per_video[v], record_attention)
-            parts.append(reshape(block, (1, spec.frames, side, side, c)))
-        return reshape(concat_axis0(parts), (bsz * spec.frames, side, side, c))
+    def _apply_troi(self, x, rois_per_video, record_attention):
+        # one module call for the whole (B*T, W, H, C) map
+        rois = [box for video in rois_per_video for box in video]
+        return self.troi.forward(x, rois, record_attention, per_video=[len(video) for video in rois_per_video])
 
     def forward(self, video: Tensor, rois: Sequence[RoiBox]) -> Tensor:
         """(T, S, S, 3) video to (classes,) logits."""

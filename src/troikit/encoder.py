@@ -31,14 +31,17 @@ from .tensor import (
 )
 
 
-def attention_weights(q: Tensor, k: Tensor) -> Tensor:
-    """Row-normalized scaled dot-product similarities, one row per query."""
+def attention_weights(q: Tensor, k: Tensor, mask: Tensor | None = None) -> Tensor:
+    """Row-normalized scaled dot-product similarities, one row per query.
+    An additive ``mask`` (0 or -inf per query/key pair) removes the -inf
+    pairs; every row must keep at least one pair."""
     if q.data.shape[1] != k.data.shape[1]:
         raise ConfigError(
             f"query width {q.data.shape[1]} does not match key width {k.data.shape[1]}"
         )
     dk = q.data.shape[1]
-    return softmax_rows(scale(matmul(q, transpose(k)), 1.0 / math.sqrt(dk)))
+    scores = scale(matmul(q, transpose(k)), 1.0 / math.sqrt(dk))
+    return softmax_rows(scores if mask is None else add(scores, mask))
 
 
 class EncoderLayer:
@@ -85,17 +88,17 @@ class EncoderLayer:
             record.append(a.data.copy())
         return matmul(a, v)
 
-    def multi_head(self, feats: Tensor, record: list | None = None) -> Tensor:
+    def multi_head(self, feats: Tensor, record: list | None = None, mask: Tensor | None = None) -> Tensor:
         outputs = []
         for q, k, v in self.project_qkv(feats):
-            a = attention_weights(q, k)
+            a = attention_weights(q, k, mask)
             if record is not None:
                 record.append(a.data.copy())
             outputs.append(matmul(a, v))
         return matmul(concat_cols(outputs), self.w_out)
 
-    def forward(self, feats: Tensor, record: list | None = None) -> Tensor:
-        g = layer_norm(add(self.multi_head(feats, record), feats), self.ln1_gamma, self.ln1_beta)
+    def forward(self, feats: Tensor, record: list | None = None, mask: Tensor | None = None) -> Tensor:
+        g = layer_norm(add(self.multi_head(feats, record, mask), feats), self.ln1_gamma, self.ln1_beta)
         m = linear(relu(linear(g, self.mlp_w1, self.mlp_b1)), self.mlp_w2, self.mlp_b2)
         return layer_norm(add(m, g), self.ln2_gamma, self.ln2_beta)
 
@@ -124,9 +127,12 @@ class Encoder:
             raise ConfigError(f"encoder needs at least one layer, got {layers}")
         self.layers = [EncoderLayer(channels, heads, rng) for _ in range(layers)]
 
-    def forward(self, feats: Tensor, record: list | None = None) -> Tensor:
+    def forward(self, feats: Tensor, record: list | None = None, mask: Tensor | None = None) -> Tensor:
+        """Run the (N, C) rows through every layer. ``record`` collects one
+        (N, N) attention matrix per layer and head, in that order; ``mask``
+        is an additive (N, N) attention mask shared by all of them."""
         for layer in self.layers:
-            feats = layer.forward(feats, record)
+            feats = layer.forward(feats, record, mask)
         return feats
 
     __call__ = forward

@@ -29,22 +29,19 @@ def order_rois(rois: Sequence[RoiBox], direction: str = "left-right") -> list[in
 
 def sinusoidal_encoding(pos: int, channels: int) -> Tensor:
     """Interleaved sin/cos of pos at geometrically spaced wavelengths."""
-    return Tensor(_sinusoid(pos, channels))
+    return Tensor(encoding_matrix([pos], channels)[0])
 
 
 def encoding_matrix(positions: Sequence[int], channels: int) -> np.ndarray:
-    """Stack of sinusoidal encodings, one row per position."""
-    return np.stack([_sinusoid(p, channels) for p in positions]) if positions else np.zeros((0, channels))
-
-
-def _sinusoid(pos: int, channels: int) -> np.ndarray:
+    """Sinusoidal encodings, one row per position: row p holds
+    sin(p / 10000^(2i/C)) in column 2i and the matching cos in 2i+1."""
     if channels % 2:
         raise ConfigError(f"sinusoidal encoding needs an even channel count, got {channels}")
     i = np.arange(channels // 2, dtype=np.float64)
-    angles = pos / np.power(10000.0, 2.0 * i / channels)
-    enc = np.empty(channels, dtype=np.float64)
-    enc[0::2] = np.sin(angles)
-    enc[1::2] = np.cos(angles)
+    angles = np.asarray(positions, dtype=np.float64).reshape(-1, 1) / np.power(10000.0, 2.0 * i / channels)
+    enc = np.empty((angles.shape[0], channels), dtype=np.float64)
+    enc[:, 0::2] = np.sin(angles)
+    enc[:, 1::2] = np.cos(angles)
     return enc
 
 

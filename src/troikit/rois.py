@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractError, DimensionError, InvalidBoxError
-from .tensor import Tensor, _accumulate, concat_axis0, reshape, slice_axis0
+from .tensor import Tensor, _accumulate
 
 ENTITY_TAGS = ("hand", "object", "scene")
 
@@ -75,52 +75,66 @@ class RoiFeatureSet:
         return len(self.boxes)
 
 
+def _clip(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # (N, 4) normalized (x1, x2, y1, y2) rows clipped to the unit square,
+    # and which rows keep some area
+    clipped = np.clip(coords, 0.0, 1.0)
+    return clipped, (clipped[:, 1] - clipped[:, 0] > 0.0) & (clipped[:, 3] - clipped[:, 2] > 0.0)
+
+
 def clip_box(box: RoiBox) -> RoiBox | None:
     """Clip to the unit square; None if no area remains."""
-    x1 = min(max(box.x1, 0.0), 1.0)
-    x2 = min(max(box.x2, 0.0), 1.0)
-    y1 = min(max(box.y1, 0.0), 1.0)
-    y2 = min(max(box.y2, 0.0), 1.0)
-    if x2 - x1 <= 0.0 or y2 - y1 <= 0.0:
+    clipped, keep = _clip(np.array([(box.x1, box.x2, box.y1, box.y2)]))
+    if not keep[0]:
         return None
+    x1, x2, y1, y2 = clipped[0].tolist()
     return replace(box, x1=x1, y1=y1, x2=x2, y2=y2)
 
 
-def _span(lo: float, hi: float, extent: int) -> tuple[int, int]:
+def _spans(lo: np.ndarray, hi: np.ndarray, extent: int) -> tuple[np.ndarray, np.ndarray]:
     # cells whose centres fall inside [lo, hi] (feature coordinates),
     # widened to the single nearest cell when none qualifies
-    first = math.ceil(lo - 0.5)
-    last = math.floor(hi - 0.5)
-    first = max(first, 0)
-    last = min(last, extent - 1)
-    if first > last:
-        centre = 0.5 * (lo + hi)
-        nearest = int(min(max(math.floor(centre), 0), extent - 1))
-        return nearest, nearest
-    return first, last
+    first = np.maximum(np.ceil(lo - 0.5), 0)
+    last = np.minimum(np.floor(hi - 0.5), extent - 1)
+    nearest = np.clip(np.floor(0.5 * (lo + hi)), 0, extent - 1)
+    empty = first > last
+    return np.where(empty, nearest, first).astype(np.int64), np.where(empty, nearest, last).astype(np.int64)
+
+
+def _footprints(coords: np.ndarray, w: int, h: int) -> list[RoiFootprint]:
+    # coords: (N, 4) normalized (x1, x2, y1, y2) rows
+    w0, w1 = _spans(coords[:, 0] * w, coords[:, 1] * w, w)
+    h0, h1 = _spans(coords[:, 2] * h, coords[:, 3] * h, h)
+    return [RoiFootprint(*s) for s in zip(w0.tolist(), w1.tolist(), h0.tolist(), h1.tolist())]
 
 
 def box_to_footprint(box: RoiBox, w: int, h: int) -> RoiFootprint:
     """Map a normalized box to the feature-map cells it covers."""
-    w0, w1 = _span(box.x1 * w, box.x2 * w, w)
-    h0, h1 = _span(box.y1 * h, box.y2 * h, h)
-    return RoiFootprint(w0, w1, h0, h1)
+    return _footprints(np.array([(box.x1, box.x2, box.y1, box.y2)]), w, h)[0]
 
 
-def _sample_grid(lo: float, hi: float, bins: int) -> np.ndarray:
-    # two sample offsets per bin at 1/4 and 3/4 of the bin span
-    width = (hi - lo) / bins
-    offsets = (np.arange(2) + 0.5) / 2.0
-    return lo + (np.arange(bins)[:, None] + offsets[None, :]) * width
-
-
-def _interp_axis(coords: np.ndarray, extent: int):
-    # clamp to the border cells so constants are preserved at the edges
+def _axis_weights(lo: np.ndarray, hi: np.ndarray, extent: int, bins: int) -> np.ndarray:
+    """(N, bins, extent) sampling weights along one axis. Each bin takes
+    two samples, at 1/4 and 3/4 of its span; each sample interpolates
+    linearly between the two nearest cell centres, clamped to the border
+    cells so constants are preserved at the edges. A bin's weights are
+    the mean of its two samples' weights."""
+    offsets = np.arange(bins)[:, None] + (np.arange(2) + 0.5) / 2.0  # (bins, 2)
+    coords = lo[:, None, None] + offsets * ((hi - lo) / bins)[:, None, None]
     u = np.clip(coords - 0.5, 0.0, extent - 1)
-    i0 = np.minimum(np.floor(u).astype(np.int64), max(extent - 2, 0))
-    frac = (u - i0).astype(coords.dtype)
-    i1 = np.minimum(i0 + 1, extent - 1)
-    return i0, i1, frac
+    i0 = np.minimum(np.floor(u), max(extent - 2, 0))
+    frac = (u - i0)[..., None]
+    cells = np.arange(extent)
+    weights = (cells == i0[..., None]) * (1 - frac) + (cells == np.minimum(i0 + 1, extent - 1)[..., None]) * frac
+    return weights.mean(axis=2)
+
+
+def _box_weights(coords: np.ndarray, w: int, h: int, bins: int) -> tuple[np.ndarray, np.ndarray]:
+    # bilinear weights are separable: bin (bx, by) of box n reads
+    # sum_ij ax[n, bx, i] * ay[n, by, j] * map[i, j]
+    ax = _axis_weights(coords[:, 0] * w, coords[:, 1] * w, w, bins)
+    ay = _axis_weights(coords[:, 2] * h, coords[:, 3] * h, h, bins)
+    return ax, ay
 
 
 def roi_align(x_t: Tensor, box: RoiBox, out: int = 2) -> Tensor:
@@ -139,140 +153,88 @@ def roi_align(x_t: Tensor, box: RoiBox, out: int = 2) -> Tensor:
     if clipped is None:
         raise InvalidBoxError(f"box {box} has no area inside the image")
     dtype = x_t.data.dtype
-
-    ax = _sample_grid(clipped.x1 * w, clipped.x2 * w, out).astype(dtype)  # (out, 2)
-    ay = _sample_grid(clipped.y1 * h, clipped.y2 * h, out).astype(dtype)
-    i0, i1, tx = _interp_axis(ax, w)
-    j0, j1, ty = _interp_axis(ay, h)
-
-    # broadcast to the (out, 2, out, 2) sample lattice
-    i0b, i1b = i0[:, :, None, None], i1[:, :, None, None]
-    j0b, j1b = j0[None, None, :, :], j1[None, None, :, :]
-    txb = tx[:, :, None, None, None]
-    tyb = ty[None, None, :, :, None]
-
-    xd = x_t.data
-    w00 = (1 - txb) * (1 - tyb)
-    w10 = txb * (1 - tyb)
-    w01 = (1 - txb) * tyb
-    w11 = txb * tyb
-    samples = (
-        xd[i0b, j0b] * w00 + xd[i1b, j0b] * w10 + xd[i0b, j1b] * w01 + xd[i1b, j1b] * w11
-    )  # (out, 2, out, 2, C)
-    result = samples.mean(axis=(1, 3))
+    ax, ay = _box_weights(np.array([(clipped.x1, clipped.x2, clipped.y1, clipped.y2)]), w, h, out)
+    ax, ay = ax[0].astype(dtype), ay[0].astype(dtype)  # (out, W), (out, H)
+    result = np.einsum("bi,ijc,dj->bdc", ax, x_t.data, ay)
 
     def _bw(g):
-        if not x_t.requires_grad:
-            return
-        gs = np.broadcast_to(g[:, None, :, None, :], samples.shape) * np.asarray(0.25, dtype=g.dtype)
-        gx = np.zeros_like(xd)
-        shape4 = samples.shape[:4]
-        for ib, jb, wgt in (
-            (i0b, j0b, w00),
-            (i1b, j0b, w10),
-            (i0b, j1b, w01),
-            (i1b, j1b, w11),
-        ):
-            np.add.at(
-                gx,
-                (np.broadcast_to(ib, shape4), np.broadcast_to(jb, shape4)),
-                gs * wgt,
-            )
-        _accumulate(x_t, gx)
+        if x_t.requires_grad:
+            _accumulate(x_t, np.einsum("bi,bdc,dj->ijc", ax, g, ay), owned=True)
 
     return Tensor._result(result, (x_t,), _bw)
 
 
-def pooled_roi_features(frame: Tensor, boxes: Sequence[RoiBox], pool_grid: int = 2) -> Tensor:
-    """Align-and-average all boxes of one (W, H, C) frame in one op.
+def extract_features(
+    x: Tensor, rois: Sequence[RoiBox], pool_grid: int = 2, per_video: Sequence[int] | None = None
+) -> RoiFeatureSet:
+    """Pool each ROI to a C-vector: the mean of its pool_grid x pool_grid
+    roi_align bins, for every box in one gather.
 
-    Equivalent to roi_align followed by a spatial mean per box, but the
-    sampling for every box is batched into a single gather/scatter.
-    """
-    if frame.data.ndim != 3:
-        raise DimensionError(f"pooled_roi_features expects a (W, H, C) map, got {frame.data.shape}")
-    w, h, c = frame.data.shape
-    dtype = frame.data.dtype
-    coords = np.array([(b.x1 * w, b.x2 * w, b.y1 * h, b.y2 * h) for b in boxes], dtype=dtype)
-    grid = (np.arange(pool_grid)[:, None] + (np.arange(2)[None, :] + 0.5) / 2.0).astype(dtype)  # (out, 2)
+    ``x`` is an (F, W, H, C) map. Without ``per_video`` it holds one video
+    and box frames index it directly. With ``per_video`` it holds
+    ``len(per_video)`` videos of F / len(per_video) frames each, ``rois``
+    is their box lists run together (``per_video[v]`` boxes for video v),
+    each box frame counts from its own video's first frame, and a kept box
+    comes back addressed by its frame in ``x``.
 
-    ax = coords[:, 0, None, None] + grid * ((coords[:, 1] - coords[:, 0]) / pool_grid)[:, None, None]
-    ay = coords[:, 2, None, None] + grid * ((coords[:, 3] - coords[:, 2]) / pool_grid)[:, None, None]
-    i0, i1, tx = _interp_axis(ax, w)  # (N, out, 2)
-    j0, j1, ty = _interp_axis(ay, h)
-
-    i0b, i1b = i0[:, :, :, None, None], i1[:, :, :, None, None]
-    j0b, j1b = j0[:, None, None, :, :], j1[:, None, None, :, :]
-    txb = tx[:, :, :, None, None, None]
-    tyb = ty[:, None, None, :, :, None]
-
-    xd = frame.data
-    w00 = (1 - txb) * (1 - tyb)
-    w10 = txb * (1 - tyb)
-    w01 = (1 - txb) * tyb
-    w11 = txb * tyb
-    samples = (
-        xd[i0b, j0b] * w00 + xd[i1b, j0b] * w10 + xd[i0b, j1b] * w01 + xd[i1b, j1b] * w11
-    )  # (N, out, 2, out, 2, C)
-    pooled = samples.mean(axis=(1, 2, 3, 4))
-
-    def _bw(g):
-        if not frame.requires_grad:
-            return
-        share = np.asarray(1.0 / (pool_grid * pool_grid * 4), dtype=g.dtype)
-        gs = np.broadcast_to(g[:, None, None, None, None, :], samples.shape) * share
-        gx = np.zeros_like(xd)
-        shape5 = samples.shape[:5]
-        for ib, jb, wgt in ((i0b, j0b, w00), (i1b, j0b, w10), (i0b, j1b, w01), (i1b, j1b, w11)):
-            np.add.at(
-                gx,
-                (np.broadcast_to(ib, shape5), np.broadcast_to(jb, shape5)),
-                gs * wgt,
-            )
-        _accumulate(frame, gx)
-
-    return Tensor._result(pooled, (frame,), _bw)
-
-
-def extract_features(x: Tensor, rois: Sequence[RoiBox], pool_grid: int = 2) -> RoiFeatureSet:
-    """Pool each ROI to a C-vector: bilinear alignment to a small grid,
-    then a spatial mean. Boxes fully outside the image are dropped and
-    counted; survivors are grouped by frame (stable within a frame) and
-    rows align 1:1 with the returned box list."""
+    Boxes fully outside the image are dropped and counted; survivors are
+    ordered by frame of ``x`` (stable within a frame) and rows align 1:1
+    with the returned box list."""
     if x.data.ndim != 4:
         raise DimensionError(f"extract_features expects a (T, W, H, C) map, got {x.data.shape}")
-    t, w, h, c = x.data.shape
-    by_frame: dict[int, list[RoiBox]] = {}
-    dropped = 0
-    for box in rois:
-        if box.frame >= t:
-            raise InvalidBoxError(f"box frame {box.frame} outside video of {t} frames")
-        clipped = clip_box(box)
-        if clipped is None:
-            dropped += 1
-            continue
-        by_frame.setdefault(box.frame, []).append(clipped)
+    total, w, h, c = x.data.shape
+    counts = [len(rois)] if per_video is None else list(per_video)
+    if not counts or sum(counts) != len(rois) or total % len(counts):
+        raise ContractError(f"{len(rois)} boxes in runs {counts} do not split a map of {total} frames")
+    frames = total // len(counts)
+    raw = np.array([(b.frame, b.x1, b.x2, b.y1, b.y2) for b in rois], dtype=np.float64).reshape(-1, 5)
+    outside = np.flatnonzero(raw[:, 0] >= frames)
+    if outside.size:
+        raise InvalidBoxError(f"box frame {rois[outside[0]].frame} outside video of {frames} frames")
+    coords, keep = _clip(raw[:, 1:])
+    frame = raw[:, 0].astype(np.int64) + np.repeat(np.arange(len(counts)) * frames, counts)
+    order = np.flatnonzero(keep)
+    order = order[np.argsort(frame[order], kind="stable")]
+    frame, coords = frame[order], coords[order]
+    kept = [
+        RoiBox(f, x1, y1, x2, y2, rois[i].entity)
+        for i, f, (x1, x2, y1, y2) in zip(order.tolist(), frame.tolist(), coords.tolist())
+    ]
+    dropped = len(rois) - len(kept)
+    if not kept:
+        return RoiFeatureSet(Tensor(np.zeros((0, c))), [], [], dropped=dropped)
 
-    kept: list[RoiBox] = []
-    chunks = []
-    for ft in sorted(by_frame):
-        boxes = by_frame[ft]
-        frame = reshape(slice_axis0(x, ft, ft + 1), (w, h, c))
-        chunks.append(pooled_roi_features(frame, boxes, pool_grid))
-        kept.extend(boxes)
-    if chunks:
-        features = concat_axis0(chunks)
-    else:
-        features = Tensor(np.zeros((0, c)))
-    footprints = [box_to_footprint(b, w, h) for b in kept]
-    return RoiFeatureSet(features, kept, footprints, dropped=dropped)
+    ax, ay = _box_weights(coords, w, h, pool_grid)
+    n, cells = len(kept), w * h
+    kernel = (ax.mean(axis=1)[:, :, None] * ay.mean(axis=1)[:, None, :]).reshape(n, cells).astype(x.data.dtype)
+    pooled = np.matmul(kernel[:, None, :], x.data.reshape(total, cells, c)[frame])[:, 0]
+
+    def _bw(g):
+        if not x.requires_grad:
+            return
+        # rows are grouped by frame: lay each frame's rows out along a
+        # zero-padded depth axis and sum them with one batched matmul
+        runs = np.flatnonzero(np.diff(frame, prepend=-1))
+        run = np.repeat(np.arange(runs.size), np.diff(np.append(runs, n)))
+        depth = np.arange(n) - runs[run]
+        kpad = np.zeros((runs.size, depth.max() + 1, cells), dtype=kernel.dtype)
+        gpad = np.zeros((runs.size, depth.max() + 1, c), dtype=g.dtype)
+        kpad[run, depth] = kernel
+        gpad[run, depth] = g
+        gx = np.zeros_like(x.data)
+        gx.reshape(total, cells, c)[frame[runs]] = np.matmul(kpad.transpose(0, 2, 1), gpad)
+        _accumulate(x, gx, owned=True)
+
+    features = Tensor._result(pooled, (x,), _bw)
+    return RoiFeatureSet(features, kept, _footprints(coords, w, h), dropped=dropped)
 
 
 def write_back(x: Tensor, fset: RoiFeatureSet) -> Tensor:
     """Replicate each feature row over its footprint, leaving everything
     else untouched. Cells covered by several ROIs receive the arithmetic
     mean of the contributors; contributions are summed in a canonical
-    order so the result is independent of the ROI list order."""
+    order (by the bytes of each row) so the result is independent of the
+    ROI list order."""
     if x.data.ndim != 4:
         raise DimensionError(f"write_back expects a (T, W, H, C) map, got {x.data.shape}")
     t, w, h, c = x.data.shape
@@ -286,33 +248,42 @@ def write_back(x: Tensor, fset: RoiFeatureSet) -> Tensor:
         return x
     if feats.data.shape[1] != c:
         raise DimensionError(f"feature width {feats.data.shape[1]} does not match map channels {c}")
+    frame, w0, w1, h0, h1 = np.array(
+        [(b.frame, fp.w0, fp.w1, fp.h0, fp.h1) for b, fp in zip(fset.boxes, fset.footprints)]
+    ).T
+    if frame.max() >= t:
+        raise InvalidBoxError(f"box frame {frame.max()} outside a map of {t} frames")
 
-    cells: dict[tuple[int, int, int], list[int]] = {}
-    for row, (box, fp) in enumerate(zip(fset.boxes, fset.footprints)):
-        for cw, ch in fp.cells():
-            cells.setdefault((box.frame, cw, ch), []).append(row)
+    # one (row, cell) pair per covered cell of each box, grouped by row
+    rows_h = h1 - h0 + 1
+    sizes = (w1 - w0 + 1) * rows_h
+    row = np.repeat(np.arange(n), sizes)
+    first = np.cumsum(sizes) - sizes  # first pair of each row
+    k = np.arange(row.size) - first[row]
+    cell = (frame[row] * w + w0[row] + k // rows_h[row]) * h + h0[row] + k % rows_h[row]
+
+    fd = feats.data
+    as_bytes = np.ascontiguousarray(fd).view(np.dtype((np.void, fd.dtype.itemsize * c))).ravel()
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(as_bytes, kind="stable")] = np.arange(n)
+    order = np.lexsort((rank[row], cell))  # by cell, then canonical row order
+    starts = np.flatnonzero(np.diff(cell[order], prepend=-1))
+    cells = cell[order][starts]
+    contributors = np.diff(np.append(starts, row.size))  # per cell
+    shared = contributors.astype(fd.dtype)[:, None]
 
     out = x.data.copy()
-    fd = feats.data
-    for (ft, cw, ch), rows in cells.items():
-        if len(rows) == 1:
-            out[ft, cw, ch] = fd[rows[0]]
-        else:
-            order = sorted(rows, key=lambda r: fd[r].tobytes())
-            out[ft, cw, ch] = fd[order].sum(axis=0) / len(rows)
+    out.reshape(-1, c)[cells] = np.add.reduceat(fd[row[order]], starts, axis=0) / shared
 
     def _bw(g):
         if x.requires_grad:
             gx = g.copy()
-            for (ft, cw, ch) in cells:
-                gx[ft, cw, ch] = 0
-            _accumulate(x, gx)
+            gx.reshape(-1, c)[cells] = 0
+            _accumulate(x, gx, owned=True)
         if feats.requires_grad:
-            gf = np.zeros_like(fd)
-            for (ft, cw, ch), rows in cells.items():
-                share = g[ft, cw, ch] / len(rows)
-                for r in rows:
-                    gf[r] += share
-            _accumulate(feats, gf)
+            share = g.reshape(-1, c)[cells] / shared
+            slot = np.empty(row.size, dtype=np.int64)  # each pair's index into cells
+            slot[order] = np.repeat(np.arange(cells.size), contributors)
+            _accumulate(feats, np.add.reduceat(share[slot], first, axis=0), owned=True)
 
     return Tensor._result(out, (x, feats), _bw)

@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, InvalidBoxError
 from .rois import RoiBox
 from .tensor import read_tensor, write_tensor
 
@@ -393,19 +393,39 @@ def save_dataset(directory, videos, force: bool = False) -> Path:
 
 
 def load_dataset(directory) -> list[SynthVideo]:
-    """Round-trips save_dataset bit-exactly (seeds are not stored)."""
+    """Round-trips save_dataset bit-exactly (seeds are not stored). A
+    malformed manifest line, or one naming a file outside the directory,
+    is a DataError."""
     directory = Path(directory)
     manifest = directory / MANIFEST_NAME
     if not manifest.exists():
         raise DataError(f"no manifest at {manifest}")
+    root = directory.resolve()
     videos = []
-    for line in manifest.read_text().splitlines():
+    for lineno, line in enumerate(manifest.read_text().splitlines(), start=1):
         if not line.strip():
             continue
-        fname, label, frames, boxes = line.split("\t")
-        with open(directory / fname, "rb") as fh:
+        where = f"{manifest}, line {lineno}"
+        fields = line.split("\t")
+        if len(fields) != 4:
+            raise DataError(f"{where}: expected 4 tab-separated fields, got {len(fields)}")
+        fname, label_text, frames_text, boxes = fields
+        try:
+            label, frames = int(label_text), int(frames_text)
+        except ValueError:
+            raise DataError(f"{where}: label {label_text!r} and frame count {frames_text!r} must be integers") from None
+        if not 0 <= label < len(CLASSES):
+            raise DataError(f"{where}: label {label} outside 0..{len(CLASSES) - 1}")
+        path = (directory / fname).resolve()
+        if path == root or not path.is_relative_to(root):
+            raise DataError(f"{where}: {fname!r} is outside the dataset directory")
+        try:
+            rois = _parse_boxes(boxes)
+        except (ValueError, InvalidBoxError) as exc:
+            raise DataError(f"{where}: malformed box list ({exc})") from None
+        with open(path, "rb") as fh:
             data = read_tensor(fh)
-        if data.ndim != 4 or data.shape[0] != int(frames):
+        if data.ndim != 4 or data.shape[0] != frames:
             raise DataError(f"{fname}: stored shape {data.shape} does not match manifest")
-        videos.append(SynthVideo(data, _parse_boxes(boxes), int(label), 0))
+        videos.append(SynthVideo(data, rois, label, 0))
     return videos

@@ -667,12 +667,32 @@ def write_tensor(fh, tensor) -> None:
     fh.write(arr.astype("<f4", copy=False).tobytes(order="C"))
 
 
+# header bounds: no troikit tensor comes near them, so a header past
+# either is corrupt and is rejected before any payload is read
+MAX_TENSOR_RANK = 8
+MAX_TENSOR_ELEMENTS = 1 << 28  # 1 GiB of float32
+
+
+def _bytes_left(fh) -> int | None:
+    """Bytes from the current position to the end, or None if the stream
+    cannot seek."""
+    try:
+        pos = fh.tell()
+        end = fh.seek(0, 2)
+        fh.seek(pos)
+    except (AttributeError, OSError, ValueError):
+        return None
+    return end - pos
+
+
 def read_tensor(fh) -> np.ndarray:
     """Inverse of write_tensor; returns a float32 array."""
     head = fh.read(4)
     if len(head) != 4:
         raise DataError("truncated tensor header")
     (rank,) = struct.unpack("<I", head)
+    if rank > MAX_TENSOR_RANK:
+        raise DataError(f"tensor header claims rank {rank}, more than {MAX_TENSOR_RANK}")
     if rank:
         raw_dims = fh.read(4 * rank)
         if len(raw_dims) != 4 * rank:
@@ -680,9 +700,12 @@ def read_tensor(fh) -> np.ndarray:
         dims = struct.unpack(f"<{rank}I", raw_dims)
     else:
         dims = ()
-    count = 1
-    for d in dims:
-        count *= d
+    count = math.prod(dims)
+    if count > MAX_TENSOR_ELEMENTS:
+        raise DataError(f"tensor header claims {count} elements, more than {MAX_TENSOR_ELEMENTS}")
+    left = _bytes_left(fh)
+    if left is not None and 4 * count > left:
+        raise DataError(f"truncated tensor payload: the header claims {4 * count} bytes, {left} remain")
     payload = fh.read(4 * count)
     if len(payload) != 4 * count:
         raise DataError("truncated tensor payload")

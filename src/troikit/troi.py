@@ -48,7 +48,8 @@ class TroiConfig:
 
 
 class TroiModule:
-    """Extract, relate, and write back ROI features, per video."""
+    """Extract, relate, and write back ROI features, for a whole batch of
+    videos at once."""
 
     def __init__(self, channels: int, config: TroiConfig, rng: np.random.Generator):
         if channels % config.heads:
@@ -63,48 +64,74 @@ class TroiModule:
         x: Tensor,
         rois: Sequence[RoiBox],
         record_attention: list | None = None,
+        per_video: Sequence[int] | None = None,
     ) -> Tensor:
-        """Map a (T, W, H, C) block to its transformed counterpart."""
+        """Map an (F, W, H, C) block to its transformed counterpart.
+
+        Without ``per_video`` the block is one video and ``rois`` are its
+        boxes. With ``per_video`` it holds ``len(per_video)`` videos of
+        F / len(per_video) consecutive frames each, and ``rois`` is their
+        box lists run together: ``per_video[v]`` boxes for video v, each
+        with its frame counted from that video's first frame.
+
+        All ROI rows pass through the encoder as one (N, C) block. An
+        additive block-diagonal mask (0 within a video, -inf across
+        videos) keeps each row attending to rows of its own video only,
+        so every video comes out as it would alone. With
+        ``record_attention`` the encoder appends one (N, N) matrix per
+        layer and head, layer-major: rows and columns are the ROI rows in
+        order of their frame in the block (stable within a frame), then,
+        with scene tokens, one row per frame of the block. Entries between
+        two videos are exactly 0, and every row sums to 1.
+
+        Returns ``x`` itself when no box survives clipping."""
         if not rois:
             return x  # bypass: nothing to relate
-        fset = extract_features(x, rois)
+        fset = extract_features(x, rois, per_video=per_video)
         n = len(fset)
         if n == 0:
             return x  # every box fell outside the image
-        fset.positions = order_rois(fset.boxes, self.config.ordering)
+        videos = 1 if per_video is None else len(per_video)
+        frames = x.data.shape[0] // videos
+        video = np.array([box.frame for box in fset.boxes]) // frames  # rows are grouped by video
+        # positions count from 0 in each video: global ranks minus the video's first row
+        ranks = np.asarray(order_rois(fset.boxes, self.config.ordering))
+        fset.positions = (ranks - np.searchsorted(video, video)).tolist()
+        positions = fset.positions
+        if self.config.scene_token:
+            # video v's scene rows take positions n_v..n_v+T-1, after its n_v ROI rows
+            rows = np.bincount(video, minlength=videos)
+            positions = positions + (np.repeat(rows, frames) + np.tile(np.arange(frames), videos)).tolist()
+            video = np.concatenate([video, np.repeat(np.arange(videos), frames)])
 
-        feats = add(fset.features, Tensor(encoding_matrix(fset.positions, self.channels)))
+        enc = encoding_matrix(positions, self.channels)
+        feats = add(fset.features, Tensor(enc[:n]))
         if self.coord is not None:
             feats = add(feats, self.coord.encode(fset.boxes))
         if self.config.scene_token:
-            feats = self.add_scene_tokens(feats, x, start_pos=n)
+            feats = concat_axis0([feats, add(scene_tokens(x), Tensor(enc[n:]))])
+        mask = None
+        if video.min() != video.max():
+            mask = Tensor(np.where(video[:, None] == video[None, :], 0.0, -np.inf))
 
-        feats = self.encoder.forward(feats, record_attention)
+        feats = self.encoder.forward(feats, record_attention, mask)
         if feats.data.shape[0] != n:
             feats = slice_axis0(feats, 0, n)  # scene rows are never written back
         return write_back(x, replace_features(fset, feats))
 
     __call__ = forward
 
-    def add_scene_tokens(self, feats: Tensor, x: Tensor, start_pos: int) -> Tensor:
-        """Append one max-pooled whole-frame row per frame, with positional
-        indices following all ROI indices in frame order."""
-        t, w, h, c = x.data.shape
-        rows = []
-        for ft in range(t):
-            frame = reshape(slice_axis0(x, ft, ft + 1), (w * h, c))
-            rows.append(reshape(reduce_max(frame, axis=0), (1, c)))
-        tokens = add(
-            concat_axis0(rows),
-            Tensor(encoding_matrix(list(range(start_pos, start_pos + t)), c)),
-        )
-        return concat_axis0([feats, tokens])
-
     def parameters(self):
         out = [(f"encoder.{name}", p) for name, p in self.encoder.parameters()]
         if self.coord is not None:
             out.extend((name, p) for name, p in self.coord.parameters())
         return out
+
+
+def scene_tokens(x: Tensor) -> Tensor:
+    """One max-pooled whole-frame row per frame of an (F, W, H, C) map."""
+    f, w, h, c = x.data.shape
+    return reduce_max(reshape(x, (f, w * h, c)), axis=1)
 
 
 def replace_features(fset: RoiFeatureSet, feats: Tensor) -> RoiFeatureSet:

@@ -172,6 +172,19 @@ class TestTrain:
         ) == 4
         assert "non-finite training loss" in capsys.readouterr().err
 
+    def test_malformed_manifest_exits_3(self, tiny_data, tmp_path, capsys):
+        bad = tmp_path / "bad-data"
+        save_dataset(bad, load_dataset(tiny_data / "train"))
+        manifest = bad / "manifest.txt"
+        lines = manifest.read_text().splitlines()
+        lines[0] = "\t".join(lines[0].split("\t")[:2])
+        manifest.write_text("\n".join(lines) + "\n")
+        assert main(
+            ["train", "--data", str(bad), "--val-data", str(tiny_data / "val"),
+             "--out", str(tmp_path / "bad.ckpt"), "--epochs", "1", "--channels", "4,6,8,8"]
+        ) == 3
+        assert "4 tab-separated fields" in capsys.readouterr().err
+
     def test_unknown_config_key_rejected(self, tiny_data, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("eppochs = 1\n")

@@ -93,6 +93,16 @@ class TestSinusoid:
         for row, pos in enumerate((0, 3, 11)):
             assert np.allclose(mat[row], oracles.sinusoid_loops(pos, 12), atol=1e-12)
 
+    def test_matrix_is_bit_identical_to_one_row_at_a_time(self):
+        # the table is one vectorized sin/cos; each row must equal the
+        # same arithmetic done for one position alone
+        i = np.arange(32, dtype=np.float64)
+        mat = encoding_matrix(list(range(400)), 64)
+        for pos in range(400):
+            angles = pos / np.power(10000.0, 2.0 * i / 64)
+            assert np.array_equal(mat[pos, 0::2], np.sin(angles))
+            assert np.array_equal(mat[pos, 1::2], np.cos(angles))
+
 
 class TestCoordEncoder:
     def test_zero_weights_are_inert(self, rng):

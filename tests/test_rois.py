@@ -13,7 +13,6 @@ from troikit.rois import (
     box_to_footprint,
     clip_box,
     extract_features,
-    pooled_roi_features,
     roi_align,
     write_back,
 )
@@ -149,20 +148,23 @@ class TestExtractFeatures:
 
     def test_fused_path_gradient(self, rng):
         with precision("f64"):
-            frame = Tensor(rng.normal(size=(5, 5, 3)), requires_grad=True)
-            boxes = [random_box(rng), random_box(rng)]
-            proj = Tensor(rng.normal(size=(2, 3)))
-            backward(reduce_sum(mul(pooled_roi_features(frame, boxes), proj)))
+            x = Tensor(rng.normal(size=(3, 5, 5, 3)), requires_grad=True)
+            # two boxes share frame 0, frame 1 has none, one box sits on frame 2
+            boxes = [random_box(rng, 2), random_box(rng, 0), random_box(rng, 0)]
+            proj = Tensor(rng.normal(size=(3, 3)))
+            fset = extract_features(x, boxes)
+            backward(reduce_sum(mul(fset.features, proj)))
 
             def scalar():
                 pooled = np.stack(
-                    [oracles.roi_align_loops(frame.data, b, 2).mean(axis=(0, 1)) for b in boxes]
+                    [oracles.roi_align_loops(x.data[b.frame], b, 2).mean(axis=(0, 1)) for b in fset.boxes]
                 )
                 return float((pooled * proj.data).sum())
 
-            for idx in rng.choice(frame.size, size=8, replace=False):
-                num = oracles.central_difference(scalar, frame.data, idx)
-                ana = frame.grad.flat[idx]
+            assert not x.grad[1].any()
+            for idx in rng.choice(x.size, size=12, replace=False):
+                num = oracles.central_difference(scalar, x.data, idx)
+                ana = x.grad.flat[idx]
                 assert abs(num - ana) / max(abs(num), abs(ana), 1e-4) < 1e-4
 
 

@@ -177,6 +177,38 @@ class TestDiskFormat:
         with pytest.raises(DataError):
             load_dataset(tmp_path / "nope")
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda f: f[:2], "4 tab-separated fields"),
+            (lambda f: f + ["extra"], "4 tab-separated fields"),
+            (lambda f: [f[0], "one", f[2], f[3]], "must be integers"),
+            (lambda f: [f[0], f[1], "4.5", f[3]], "must be integers"),
+            (lambda f: [f[0], str(len(CLASSES)), f[2], f[3]], "outside 0.."),
+            (lambda f: [f[0], "-1", f[2], f[3]], "outside 0.."),
+            (lambda f: ["../" + f[0], f[1], f[2], f[3]], "outside the dataset directory"),
+            (lambda f: ["/etc/hosts", f[1], f[2], f[3]], "outside the dataset directory"),
+            (lambda f: [".", f[1], f[2], f[3]], "outside the dataset directory"),
+            (lambda f: [f[0], f[1], f[2], "0,0.1,0.1"], "malformed box list"),
+        ],
+        ids=[
+            "short-line", "long-line", "text-label", "fractional-frames", "label-too-large",
+            "negative-label", "dotdot-path", "absolute-path", "directory-itself", "short-box",
+        ],
+    )
+    def test_malformed_manifest_line_is_data_error(self, tmp_path, edit, message):
+        videos = build_dataset(5, per_class=1, frames=4, size=16)
+        save_dataset(tmp_path / "ds", videos)
+        manifest = tmp_path / "ds" / "manifest.txt"
+        lines = manifest.read_text().splitlines()
+        # keep a readable copy of the first video one level up, so a
+        # path that escapes the directory would otherwise load fine
+        (tmp_path / lines[0].split("\t")[0]).write_bytes((tmp_path / "ds" / lines[0].split("\t")[0]).read_bytes())
+        lines[0] = "\t".join(edit(lines[0].split("\t")))
+        manifest.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=message):
+            load_dataset(tmp_path / "ds")
+
     def test_manifest_is_text_records(self, tmp_path):
         videos = build_dataset(5, per_class=1, frames=4, size=16)
         save_dataset(tmp_path / "ds", videos)

@@ -1,5 +1,6 @@
 import io
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -356,6 +357,21 @@ class TestPrecisionAndSerialization:
         data = buf.getvalue()[:-4]
         with pytest.raises(DataError, match="truncated"):
             read_tensor(io.BytesIO(data))
+
+    def test_huge_extents_rejected_before_reading(self):
+        # rank 4, every extent 0xFFFFFFFF: the count overflows any read size
+        header = struct.pack("<5I", 4, *([0xFFFFFFFF] * 4))
+        with pytest.raises(DataError, match="elements"):
+            read_tensor(io.BytesIO(header + b"\0" * 16))
+
+    def test_payload_longer_than_the_stream_rejected(self):
+        header = struct.pack("<3I", 2, 1000, 1000)
+        with pytest.raises(DataError, match="remain"):
+            read_tensor(io.BytesIO(header + b"\0" * 8))
+
+    def test_huge_rank_rejected(self):
+        with pytest.raises(DataError, match="rank"):
+            read_tensor(io.BytesIO(struct.pack("<I", 0xFFFFFFFF)))
 
     def test_finite_after_ops(self, rng):
         x = Tensor(rng.uniform(-50, 50, size=(4, 8)))

@@ -4,8 +4,8 @@ import pytest
 from troikit.errors import ConfigError
 from troikit.posenc import encoding_matrix, order_rois
 from troikit.rois import RoiBox, extract_features, write_back
-from troikit.tensor import Tensor, add, precision
-from troikit.troi import TroiConfig, TroiModule, replace_features
+from troikit.tensor import Tensor, add, concat_axis0, precision, slice_axis0
+from troikit.troi import TroiConfig, TroiModule, replace_features, scene_tokens
 
 from test_rois import random_box
 
@@ -103,14 +103,11 @@ class TestForward:
 
 
 class TestSceneTokens:
-    def test_constant_map_token_value(self, rng):
-        module = TroiModule(8, TroiConfig(scene_token=True), rng)
+    def test_constant_map_token_value(self):
         x = Tensor(np.full((2, 4, 4, 8), 1.25))
-        feats = Tensor(np.zeros((1, 8)))
-        out = module.add_scene_tokens(feats, x, start_pos=1)
-        assert out.data.shape == (3, 8)  # one roi row + one token per frame
-        expected = 1.25 + encoding_matrix([1, 2], 8)
-        assert np.allclose(out.data[1:], expected, atol=1e-6)
+        out = scene_tokens(x)
+        assert out.data.shape == (2, 8)  # one token per frame
+        assert np.array_equal(out.data, np.full((2, 8), 1.25, dtype=out.data.dtype))
 
     def test_flag_off_leaves_rows_alone(self, rng):
         module = TroiModule(8, TroiConfig(scene_token=False), rng)
@@ -122,13 +119,25 @@ class TestSceneTokens:
 
     def test_single_max_cell_dominates(self, rng):
         with precision("f64"):
-            module = TroiModule(4, TroiConfig(scene_token=True), rng)
             data = rng.normal(size=(1, 3, 3, 4))
             data[0, 1, 2] = 50.0  # channel-wise maximum lives in one cell
-            x = Tensor(data)
-            out = module.add_scene_tokens(Tensor(np.zeros((0, 4))), x, start_pos=0)
-            expected = data[0, 1, 2] + encoding_matrix([0], 4)[0]
-            assert np.allclose(out.data[0], expected, atol=1e-12)
+            out = scene_tokens(Tensor(data))
+            assert np.array_equal(out.data[0], data[0, 1, 2])
+
+    def test_forward_matches_manual_pipeline(self, rng):
+        # scene rows take the positions after the video's ROI rows
+        with precision("f64"):
+            module = TroiModule(8, TroiConfig(scene_token=True), rng)
+            x = Tensor(rng.normal(size=(3, 4, 4, 8)))
+            rois = [random_box(rng, 2), random_box(rng, 0), random_box(rng, 2)]
+            out = module.forward(x, rois)
+
+            fset = extract_features(x, rois)
+            feats = add(fset.features, Tensor(encoding_matrix(order_rois(fset.boxes), 8)))
+            tokens = add(scene_tokens(x), Tensor(encoding_matrix([3, 4, 5], 8)))
+            feats = module.encoder.forward(concat_axis0([feats, tokens]))
+            expected = write_back(x, replace_features(fset, slice_axis0(feats, 0, 3)))
+            assert np.allclose(out.data, expected.data, atol=1e-12)
 
     def test_scene_rows_not_written_back(self, rng):
         module = TroiModule(8, TroiConfig(scene_token=True), rng)
