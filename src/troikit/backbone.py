@@ -4,6 +4,12 @@ Frames pass through four conv/pool stages shared across time (2-D convs,
 so the network is frame-local by construction); the ROI module can be
 inserted after stage 2, 3 or 4. A global average pool over time and
 space feeds a single linear head.
+
+A stage runs conv -> 2x2 max-pool -> ReLU. ReLU is monotone, so this
+equals conv -> ReLU -> max-pool in value and in gradient (a window whose
+maximum is <= 0 passes no gradient either way, and otherwise both orders
+send it to the same first maximum), while ReLU touches a quarter of the
+cells and the full-resolution ReLU output is never built.
 """
 
 from __future__ import annotations
@@ -106,7 +112,7 @@ class VideoClassifier:
 
         x = reshape(videos, (bsz * spec.frames, spec.size, spec.size, spec.in_channels))
         for stage in range(4):
-            x = max_pool2d(relu(conv2d(x, self.stage_weights[stage], self.stage_biases[stage], pad=1)))
+            x = self._stage(x, stage)
             if self.troi is not None and stage == self._insert_after:
                 x = self._apply_troi(x, rois_per_video, record_attention)
         side = spec.stage_side(3)
@@ -134,8 +140,13 @@ class VideoClassifier:
         processed independently, so this is useful for locality checks."""
         x = frames if isinstance(frames, Tensor) else Tensor(frames)
         for stage in range(upto_stage + 1):
-            x = max_pool2d(relu(conv2d(x, self.stage_weights[stage], self.stage_biases[stage], pad=1)))
+            x = self._stage(x, stage)
         return x
+
+    def _stage(self, x: Tensor, stage: int) -> Tensor:
+        # the module-level ops are looked up at call time, so wrappers
+        # patched onto this module see every call
+        return relu(max_pool2d(conv2d(x, self.stage_weights[stage], self.stage_biases[stage], pad=1)))
 
     # -- parameters and checkpoints ---------------------------------------
 

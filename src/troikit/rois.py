@@ -32,6 +32,10 @@ class RoiBox:
     entity: str = "object"
 
     def __post_init__(self):
+        # a bool or a non-integral frame would silently index the wrong frame
+        if isinstance(self.frame, bool) or not isinstance(self.frame, (int, np.integer)):
+            raise InvalidBoxError(f"frame index must be an integer, got {self.frame!r}")
+        object.__setattr__(self, "frame", int(self.frame))
         if self.frame < 0:
             raise InvalidBoxError(f"negative frame index {self.frame}")
         if not all(map(math.isfinite, (self.x1, self.y1, self.x2, self.y2))):

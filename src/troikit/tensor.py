@@ -521,6 +521,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
         raise DimensionError(f"conv2d: kernel {w.data.shape} does not match input {x.data.shape}")
     if b is not None and b.data.shape != (cout,):
         raise DimensionError(f"conv2d bias must have shape ({cout},), got {b.data.shape}")
+    if stride < 1 or pad < 0:
+        raise DimensionError(f"conv2d needs stride >= 1 and pad >= 0, got stride={stride}, pad={pad}")
     o1 = (s1 + 2 * pad - k) // stride + 1
     o2 = (s2 + 2 * pad - k) // stride + 1
     if o1 < 1 or o2 < 1:
@@ -556,41 +558,73 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
     return Tensor._result(out, parents, _bw)
 
 
+_POOL_SLICE_BYTES = 1 << 18  # max_pool2d output per batch slice, so its temporaries stay in cache
+
+
 def max_pool2d(x: Tensor, k: int = 2, stride: int | None = None) -> Tensor:
-    """Windowed max over the two spatial axes; first maximum wins ties."""
+    """Windowed max over the two spatial axes; ``stride`` defaults to ``k``.
+
+    The first maximum of a window in (i, j) scan order takes its gradient.
+    When a graph is built, the forward pass keeps that position as a small
+    integer array (a strict ``>`` against the running max), so the
+    backward pass reads neither ``x`` nor the output. A window holding a
+    NaN now sends its gradient to one of its positions, where it used to
+    send it nowhere; training stops at a non-finite loss before
+    ``backward``, so no training path reaches this case.
+    """
     x = _as_tensor(x)
     if x.data.ndim != 4:
         raise DimensionError(f"max_pool2d expects 4-d input, got {x.data.shape}")
-    stride = stride or k
-    s1, s2 = x.data.shape[1:3]
+    if stride is None:
+        stride = k
+    if k < 1 or stride < 1:
+        raise DimensionError(f"max_pool2d needs k >= 1 and stride >= 1, got k={k}, stride={stride}")
+    bsz, s1, s2, c = x.data.shape
     o1 = (s1 - k) // stride + 1
     o2 = (s2 - k) // stride + 1
     if o1 < 1 or o2 < 1:
         raise DimensionError(f"pool window {k} does not fit input {x.data.shape}")
+    taps = [(i, j) for i in range(k) for j in range(k)]
 
-    def window(a, i, j):
+    def window(a, n):
+        i, j = taps[n]
         return a[:, i : i + stride * o1 : stride, j : j + stride * o2 : stride, :]
 
-    out = window(x.data, 0, 0).copy()
-    for i in range(k):
-        for j in range(k):
-            if i or j:
-                np.maximum(out, window(x.data, i, j), out=out)
+    out = window(x.data, 0).copy()
+    if not (_state["grad_enabled"] and x.requires_grad):
+        for n in range(1, len(taps)):
+            np.maximum(out, window(x.data, n), out=out)
+        return Tensor._result(out, (x,), None)
+
+    # first[cell] is the scan-order tap of the window's first maximum. The
+    # batch goes in slices whose temporaries stay in cache, and a contiguous
+    # copy of each tap makes the compare and the max cheap.
+    first = np.zeros(out.shape, dtype=np.min_scalar_type(len(taps) - 1))
+    step = max(1, _POOL_SLICE_BYTES // max(out[:1].nbytes, 1))
+    slices = [slice(lo, lo + step) for lo in range(0, bsz, step)]
+    cand_buf = np.empty_like(out[:step])
+    hit_buf = np.empty(cand_buf.shape, dtype=bool)
+    for sl in slices:
+        xs, outs, firsts = x.data[sl], out[sl], first[sl]
+        cand, hit = cand_buf[: len(outs)], hit_buf[: len(outs)]
+        for n in range(1, len(taps)):
+            np.copyto(cand, window(xs, n))
+            np.greater(cand, outs, out=hit)
+            np.maximum(firsts, hit * first.dtype.type(n), out=firsts)
+            np.maximum(outs, cand, out=outs)
 
     def _bw(g):
-        if not x.requires_grad:
-            return
-        gx = np.zeros_like(x.data)
-        live = np.ones(out.shape, dtype=bool)  # first maximum takes the gradient
-        for i in range(k):
-            for j in range(k):
-                hit = window(x.data, i, j) == out
-                hit &= live
-                live ^= hit
+        if stride == k and s1 == o1 * k and s2 == o2 * k:
+            gx = np.empty_like(x.data)  # the windows tile the input exactly
+        else:
+            gx = np.zeros_like(x.data)
+        for sl in slices:
+            gs, firsts, gxs = g[sl], first[sl], gx[sl]
+            for n in range(len(taps)):
                 if stride < k:  # overlapping windows share input cells
-                    window(gx, i, j)[...] += g * hit
+                    window(gxs, n)[...] += gs * (firsts == n)
                 else:
-                    np.multiply(g, hit, out=window(gx, i, j))
+                    np.multiply(gs, firsts == n, out=window(gxs, n))
         _accumulate(x, gx, owned=True)
 
     return Tensor._result(out, (x,), _bw)

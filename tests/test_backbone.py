@@ -8,7 +8,7 @@ from troikit.backbone import (
     save_checkpoint,
 )
 from troikit.errors import ConfigError, DataError
-from troikit.tensor import Tensor, backward, cross_entropy, precision
+from troikit.tensor import Tensor, _toposort, backward, cross_entropy, precision
 from troikit.troi import TroiConfig
 
 from test_rois import random_box
@@ -76,6 +76,33 @@ class TestForward:
         model = VideoClassifier(SMALL, None, seed=0)
         with pytest.raises(ConfigError):
             model.forward_batch(Tensor(np.zeros((1, 3, 16, 16, 3))), [[]])
+
+    @pytest.mark.parametrize("troi", [None, TroiConfig(insert_at="conv4")])
+    def test_each_stage_applies_relu_after_the_pool(self, rng, troi):
+        # ReLU runs on the pooled map; a full-resolution ReLU node would
+        # bring back the pass and the buffer this order avoids
+        model = VideoClassifier(SMALL, troi, seed=0)
+        videos = Tensor(rng.uniform(size=(2, 2, 16, 16, 3)))
+        rois = [[random_box(rng, 0)], [random_box(rng, 1)]]
+        loss = cross_entropy(model.forward_batch(videos, rois), [0, 2])
+        stage = {id(w): s for s, w in enumerate(model.stage_weights)}
+
+        def op(node):
+            return node._backward.__qualname__.split(".")[0] if node._backward else None
+
+        relus = {}
+        for node in _toposort(loss):
+            if op(node) == "relu" and op(node._parents[0]) == "max_pool2d":
+                conv = node._parents[0]._parents[0]
+                assert op(conv) == "conv2d"
+                relus[stage[id(conv._parents[1])]] = node.shape
+        bt = 2 * SMALL.frames
+        assert relus == {
+            s: (bt, SMALL.stage_side(s), SMALL.stage_side(s), SMALL.channels[s]) for s in range(4)
+        }
+        # and each pool reads its conv directly, not a full-resolution ReLU
+        pools = [n for n in _toposort(loss) if op(n) == "max_pool2d"]
+        assert len(pools) == 4 and all(op(p._parents[0]) == "conv2d" for p in pools)
 
     def test_first_layer_gradient_finite_difference(self, rng):
         with precision("f64"):

@@ -62,6 +62,27 @@ class TestRoiAlign:
         with pytest.raises(InvalidBoxError, match="non-finite"):
             RoiBox(0, *coords)
 
+    @given(
+        st.one_of(
+            st.booleans(),
+            st.floats(0.0, 7.0).filter(lambda f: f != int(f)),
+            st.integers(0, 7).map(float),
+            st.integers(0, 7).map(np.float64),
+            st.integers(0, 7).map(str),
+            st.none(),
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_non_integer_frame_rejected(self, frame):
+        with pytest.raises(InvalidBoxError, match="integer"):
+            RoiBox(frame, 0.1, 0.1, 0.5, 0.5)
+
+    @given(st.integers(0, 7), st.sampled_from([int, np.int64, np.int32, np.uint8]))
+    @settings(max_examples=30, deadline=None)
+    def test_integer_frame_stored_as_int(self, frame, kind):
+        box = RoiBox(kind(frame), 0.1, 0.1, 0.5, 0.5)
+        assert type(box.frame) is int and box.frame == frame
+
     def test_degenerate_box_rejected(self):
         grid = Tensor(np.zeros((4, 4, 1)))
         with pytest.raises(InvalidBoxError):

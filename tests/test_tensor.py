@@ -4,7 +4,11 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import troikit.tensor as tensor_module
 from troikit.errors import ContractError, DataError, DimensionError
 from troikit.tensor import (
     Tensor,
@@ -216,6 +220,84 @@ class TestElementwiseAndPooling:
             backward(reduce_sum(mul(out, proj)))
             ref = oracles.max_pool_grad_loops(x.data, proj.data, k, stride)
             assert np.allclose(x.grad, ref, atol=1e-12, rtol=0)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_pool_then_relu_equals_relu_then_pool(self, data):
+        # the backbone runs conv -> pool -> ReLU; this pins it to
+        # conv -> ReLU -> pool, bit for bit
+        dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+        k = data.draw(st.integers(1, 3))
+        stride = data.draw(st.one_of(st.none(), st.integers(1, 4)))  # overlapping, tiling and gapped
+        shape = (
+            data.draw(st.integers(1, 2)),
+            data.draw(st.integers(k, 7)),  # odd sides leave cells outside every window
+            data.draw(st.integers(k, 7)),
+            data.draw(st.integers(1, 3)),
+        )
+        # few distinct values: flat (tied) windows and all-nonpositive ones are common
+        values = st.one_of(st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.0]), st.floats(-4, 4, width=32))
+        x = data.draw(arrays(dtype, shape, elements=values)) + dtype(0)  # no negative zeros
+        with precision("f32" if dtype is np.float32 else "f64"):
+            a = Tensor(x, requires_grad=True)
+            b = Tensor(x, requires_grad=True)
+            pool_relu = relu(max_pool2d(a, k, stride))
+            relu_pool = max_pool2d(relu(b), k, stride)
+            assert pool_relu.data.dtype == relu_pool.data.dtype == dtype
+            assert pool_relu.data.tobytes() == relu_pool.data.tobytes()
+            g = data.draw(arrays(dtype, pool_relu.shape, elements=st.floats(-3, 3, width=32)))
+            backward(reduce_sum(mul(pool_relu, Tensor(g))))
+            backward(reduce_sum(mul(relu_pool, Tensor(g))))
+            ga, gb = a.grad, b.grad
+            if stride is not None and stride < k:
+                # a cell in overlapping windows sums its windows' shares, and
+                # 0.0 + -0.0 is 0.0, so only the sign of a zero may differ
+                ga, gb = ga + dtype(0), gb + dtype(0)
+            assert ga.tobytes() == gb.tobytes()
+
+    @pytest.mark.parametrize("k, stride", [(2, None), (3, 2), (2, 3)], ids=["tiling", "overlapping", "gapped"])
+    def test_max_pool_batch_slices_match_loops(self, rng, monkeypatch, k, stride):
+        # slices of two pooled 3x3x2 f64 images (four 2x2 ones) over a batch
+        # of 5: the last slice is short
+        monkeypatch.setattr(tensor_module, "_POOL_SLICE_BYTES", 2 * 3 * 3 * 2 * 8)
+        with precision("f64"):
+            x = Tensor(rng.integers(-2, 3, size=(5, 7, 7, 2)).astype(float), requires_grad=True)
+            out = max_pool2d(x, k, stride)
+            assert np.array_equal(out.data, oracles.max_pool_loops(x.data, k, stride or k))
+            proj = Tensor(rng.normal(size=out.shape))
+            backward(reduce_sum(mul(out, proj)))
+            ref = oracles.max_pool_grad_loops(x.data, proj.data, k, stride or k)
+            assert np.allclose(x.grad, ref, atol=1e-12, rtol=0)
+
+    def test_max_pool_window_of_more_than_256_taps(self, rng):
+        # the first-max index outgrows one byte
+        with precision("f64"):
+            x = Tensor(rng.normal(size=(2, 18, 17, 1)), requires_grad=True)
+            out = max_pool2d(x, 17)
+            proj = Tensor(rng.normal(size=out.shape))
+            backward(reduce_sum(mul(out, proj)))
+            assert np.array_equal(out.data, oracles.max_pool_loops(x.data, 17, 17))
+            assert np.array_equal(x.grad, oracles.max_pool_grad_loops(x.data, proj.data, 17, 17))
+
+    @pytest.mark.parametrize("k, stride", [(0, None), (0, 2), (2, 0), (2, -1), (-1, None)])
+    def test_max_pool_rejects_nonpositive_window_or_stride(self, k, stride):
+        # stride=0 must not fall back to stride k
+        with pytest.raises(DimensionError, match="k >= 1 and stride >= 1"):
+            max_pool2d(Tensor(np.zeros((1, 4, 4, 1))), k, stride)
+
+    @pytest.mark.parametrize("stride, pad", [(0, 0), (-1, 1), (1, -1)])
+    def test_conv_rejects_nonpositive_stride_or_negative_pad(self, stride, pad):
+        with pytest.raises(DimensionError, match="stride >= 1 and pad >= 0"):
+            conv2d(Tensor(np.zeros((1, 5, 5, 1))), Tensor(np.zeros((3, 3, 1, 1))), stride=stride, pad=pad)
+
+    def test_max_pool_untracked_path_matches_tracked(self, rng):
+        # without a graph max_pool2d skips the first-max index
+        x = Tensor(rng.integers(-2, 3, size=(3, 7, 6, 2)).astype(float), requires_grad=True)
+        with no_grad():
+            untracked = max_pool2d(x, 3, 2)
+        assert untracked._backward is None
+        assert np.array_equal(untracked.data, max_pool2d(x, 3, 2).data)
+        assert np.array_equal(max_pool2d(Tensor(x.data), 3, 2).data, untracked.data)
 
     def test_max_pool_matches_loops(self, rng):
         x = rng.normal(size=(2, 6, 6, 3))
