@@ -9,6 +9,7 @@ coordinates, both for bilinear sampling and for footprint membership.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -38,6 +39,13 @@ class RoiBox:
         object.__setattr__(self, "frame", int(self.frame))
         if self.frame < 0:
             raise InvalidBoxError(f"negative frame index {self.frame}")
+        if not (type(self.x1) is type(self.y1) is type(self.x2) is type(self.y2) is float):
+            for name in ("x1", "y1", "x2", "y2"):
+                value = getattr(self, name)
+                if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                    raise InvalidBoxError(f"box coordinate {name} must be a real number, got {value!r}")
+                # numpy reals are stored as float, so a manifest gets plain reprs
+                object.__setattr__(self, name, float(value))
         if not all(map(math.isfinite, (self.x1, self.y1, self.x2, self.y2))):
             raise InvalidBoxError(f"non-finite box coordinates {(self.x1, self.y1, self.x2, self.y2)}")
         if self.entity not in ENTITY_TAGS:

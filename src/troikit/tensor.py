@@ -175,6 +175,8 @@ def _toposort(root: Tensor) -> list[Tensor]:
 
 def backward(loss: Tensor) -> None:
     """Populate dLoss/dLeaf on every gradient-tracked leaf below ``loss``.
+    An inner node's gradient is dropped once its closure has run, so the
+    graph's gradients are not all held at once; leaves keep theirs.
 
     Calling backward again while leaf gradients are still set is an
     error; call ``zero_grad`` between steps. Silent accumulation hides
@@ -197,6 +199,8 @@ def backward(loss: Tensor) -> None:
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+        if node._parents:
+            node.grad = None  # its parents hold what it contributed
 
 
 def zero_grad(params) -> None:

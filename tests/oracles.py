@@ -195,3 +195,51 @@ def central_difference(fn, arr, index, h=1e-5):
     fminus = fn()
     arr.flat[index] = orig
     return (fplus - fminus) / (2.0 * h)
+
+
+def render_loops(background, sprites, visible_fraction=0.1):
+    """Paint sprites one pixel at a time, then count each sprite's
+    visible pixels with a boolean mask per sprite per frame.
+
+    ``background`` is a (T, S, S, 3) float64 array; ``sprites`` lists
+    (color, centers, (hx, hy), tag) bottom to top, with one centre (or
+    None) per frame. A pixel (i, j) belongs to a sprite when its centre
+    (i + 0.5, j + 0.5) lies inside the sprite's rectangle scaled by S,
+    after the rectangle is moved to lie inside the unit square. Returns
+    the float32 video and (frame, x1, y1, x2, y2, tag) boxes of sprites
+    with at least ``visible_fraction`` of their pixels on top.
+    """
+    frames, size = background.shape[0], background.shape[1]
+    video = np.array(background, dtype=np.float64)
+    boxes = []
+    for t in range(frames):
+        rects, masks = [], []
+        for color, centers, (hx, hy), tag in sprites:
+            if centers[t] is None:
+                rects.append(None)
+                masks.append(None)
+                continue
+            cx = min(max(centers[t][0], hx), 1.0 - hx)
+            cy = min(max(centers[t][1], hy), 1.0 - hy)
+            rect = (cx - hx, cy - hy, cx + hx, cy + hy)
+            mask = np.zeros((size, size), dtype=bool)
+            for i in range(size):
+                for j in range(size):
+                    mask[i, j] = (
+                        rect[0] * size <= i + 0.5 <= rect[2] * size and rect[1] * size <= j + 0.5 <= rect[3] * size
+                    )
+            for i, j in zip(*np.nonzero(mask)):
+                video[t, i, j] = color
+            rects.append(rect)
+            masks.append(mask)
+        for k, (rect, mask) in enumerate(zip(rects, masks)):
+            if mask is None or not mask.any():
+                continue
+            covered = np.zeros((size, size), dtype=bool)
+            for later in masks[k + 1 :]:
+                if later is not None:
+                    covered |= later
+            if (mask & ~covered).sum() / mask.sum() < visible_fraction:
+                continue
+            boxes.append((t, *(float(v) for v in rect), sprites[k][3]))
+    return video.astype(np.float32), boxes

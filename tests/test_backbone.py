@@ -104,6 +104,32 @@ class TestForward:
         pools = [n for n in _toposort(loss) if op(n) == "max_pool2d"]
         assert len(pools) == 4 and all(op(p._parents[0]) == "conv2d" for p in pools)
 
+    @pytest.mark.parametrize("mode", ["f32", "f64"])
+    @pytest.mark.parametrize("troi", [None, TroiConfig(scene_token=True, coord_encoding=True)], ids=["plain", "troi"])
+    def test_backward_drops_inner_gradients_and_keeps_leaf_ones(self, rng, mode, troi):
+        videos = rng.uniform(size=(2, 2, 16, 16, 3))
+        rois = [[random_box(rng, 0), random_box(rng, 1, "hand")], [random_box(rng, 1)]]
+
+        def graph():
+            model = VideoClassifier(SMALL, troi, seed=5)
+            x = Tensor(videos, requires_grad=True)
+            loss = cross_entropy(model.forward_batch(x, rois), [0, 2])
+            return loss, [x] + [p for _, p in model.parameters()]
+
+        with precision(mode):
+            loss, leaves = graph()
+            inner = [n for n in _toposort(loss) if n._parents]
+            backward(loss)
+            assert inner and all(n.grad is None for n in inner)
+            # a backward that keeps every gradient, as before inner ones were dropped
+            ref_loss, ref_leaves = graph()
+            ref_loss.grad = np.ones_like(ref_loss.data)
+            for node in reversed(_toposort(ref_loss)):
+                if node._backward is not None and node.grad is not None:
+                    node._backward(node.grad)
+            for leaf, ref in zip(leaves, ref_leaves):
+                assert leaf.grad is not None and leaf.grad.tobytes() == ref.grad.tobytes()
+
     def test_first_layer_gradient_finite_difference(self, rng):
         with precision("f64"):
             model = VideoClassifier(SMALL, TroiConfig(), seed=3)

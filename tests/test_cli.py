@@ -74,6 +74,24 @@ class TestGen:
     def test_missing_required_flag(self):
         assert main(["gen", "--per-class", "2"]) == 2
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--frames", "1", "at least 2 frames"),
+            ("--frames", "0", "at least 2 frames"),
+            ("--size", "0", "at least 1x1"),
+            ("--per-class", "0", "per_class must be at least 1"),
+            ("--per-class", "-2", "per_class must be at least 1"),
+        ],
+    )
+    def test_degenerate_shape_exits_2(self, tmp_path, capsys, flag, value, message):
+        args = {"--per-class": "1", "--frames": "4", "--size": "16", flag: value}
+        out = tmp_path / "ds"
+        argv = ["gen", "--out", str(out)] + [item for pair in args.items() for item in pair]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def trained(tiny_data, tmp_path_factory):

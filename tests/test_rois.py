@@ -83,6 +83,36 @@ class TestRoiAlign:
         box = RoiBox(kind(frame), 0.1, 0.1, 0.5, 0.5)
         assert type(box.frame) is int and box.frame == frame
 
+    @given(
+        st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+        st.integers(0, 3),
+        st.one_of(
+            st.booleans(),
+            st.booleans().map(np.bool_),
+            st.floats(0.0, 1.0).map(str),
+            st.none(),
+            st.complex_numbers(allow_nan=False, allow_infinity=False),
+            st.lists(st.floats(0.0, 1.0), min_size=1, max_size=2),
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_non_real_coordinate_rejected(self, coords, slot, bad):
+        coords[slot] = bad
+        with pytest.raises(InvalidBoxError, match="real number"):
+            RoiBox(0, *coords)
+
+    @given(
+        st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+        st.lists(st.sampled_from([float, int, np.float64, np.float32, np.float16, np.int64]), min_size=4, max_size=4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_real_coordinates_stored_as_float(self, coords, kinds):
+        values = [kind(c) for kind, c in zip(kinds, coords)]
+        box = RoiBox(0, *values)
+        stored = (box.x1, box.y1, box.x2, box.y2)
+        assert all(type(c) is float for c in stored)
+        assert list(stored) == [float(v) for v in values]
+
     def test_degenerate_box_rejected(self):
         grid = Tensor(np.zeros((4, 4, 1)))
         with pytest.raises(InvalidBoxError):
