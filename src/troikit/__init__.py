@@ -13,7 +13,7 @@ from .errors import (
     NumericError,
     TroikitError,
 )
-from .posenc import CoordEncoder, coord_encoding, encoding_matrix, order_rois, sinusoidal_encoding
+from .posenc import CoordEncoder, encoding_matrix, order_rois
 from .rois import (
     RoiBox,
     RoiFeatureSet,

@@ -26,7 +26,6 @@ from .rois import RoiBox
 from .tensor import (
     Tensor,
     conv2d,
-    cross_entropy,
     init_relu_uniform,
     linear,
     max_pool2d,
@@ -54,8 +53,8 @@ class BackboneSpec:
     classes: int = 6
 
     def __post_init__(self):
-        if len(self.channels) != 4:
-            raise ConfigError(f"backbone needs 4 stage channel counts, got {self.channels}")
+        if len(self.channels) != 4 or min(self.channels) < 1:
+            raise ConfigError(f"backbone needs 4 positive stage channel counts, got {self.channels}")
         if self.size < 16 or self.size % 16:
             raise ConfigError(f"input size must be a multiple of 16, got {self.size}")
         if self.frames < 1 or self.classes < 2:
@@ -132,16 +131,6 @@ class VideoClassifier:
             video = Tensor(video)
         batched = reshape(video, (1,) + video.data.shape)
         return reshape(self.forward_batch(batched, [rois]), (self.spec.classes,))
-
-    __call__ = forward
-
-    def frame_features(self, frames: Tensor, upto_stage: int) -> Tensor:
-        """Stage activations for a (N, S, S, 3) frame stack; frames are
-        processed independently, so this is useful for locality checks."""
-        x = frames if isinstance(frames, Tensor) else Tensor(frames)
-        for stage in range(upto_stage + 1):
-            x = self._stage(x, stage)
-        return x
 
     def _stage(self, x: Tensor, stage: int) -> Tensor:
         # the module-level ops are looked up at call time, so wrappers
@@ -231,13 +220,3 @@ def load_checkpoint(path, model: VideoClassifier) -> None:
             if arr.shape != p.data.shape:
                 raise DataError(f"parameter {name}: stored shape {arr.shape} != {p.data.shape}")
             p.data = arr.astype(p.data.dtype)
-
-
-__all__ = [
-    "BackboneSpec",
-    "VideoClassifier",
-    "INSERT_STAGE",
-    "cross_entropy",
-    "save_checkpoint",
-    "load_checkpoint",
-]

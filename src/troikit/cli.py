@@ -58,8 +58,8 @@ TRAIN_DEFAULTS = {
     "resume": False,
 }
 
-# extra keys a train sidecar records so eval can rebuild the model
-_SIDECAR_EXTRAS = {"frames": 8, "size": 32, "num_classes": 6}
+# a train sidecar also records the data shape, so eval can rebuild the model
+_SIDECAR_DEFAULTS = {**TRAIN_DEFAULTS, "frames": 8, "size": 32, "num_classes": 6}
 
 EVAL_DEFAULTS = {
     "data": None,
@@ -90,19 +90,26 @@ GRADCHECK_DEFAULTS = {
 }
 
 
-def _parse_config_file(path) -> dict[str, str]:
+def _read_config(path, known: dict) -> dict:
+    """The `key = value` entries of a config file; each value is coerced
+    to the type of its key's default in ``known``, and a key missing from
+    ``known`` is rejected."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"config file {path} does not exist")
-    entries: dict[str, str] = {}
+    entries = {}
     for lineno, line in enumerate(path.read_text().splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        key, value = stripped.split("=", 1)
-        entries[key.strip().replace("-", "_")] = value.strip()
+        key, raw = stripped.split("=", 1)
+        key = key.strip().replace("-", "_")
+        if key not in known:
+            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        default = known[key]  # untyped (None) defaults keep their values as strings
+        entries[key] = _coerce(key, raw.strip(), "" if default is None else default)
     return entries
 
 
@@ -128,13 +135,7 @@ def _merge(defaults: dict, args: argparse.Namespace, required=()) -> dict:
     cfg = dict(defaults)
     config_path = getattr(args, "config", None)
     if config_path:
-        for key, raw in _parse_config_file(config_path).items():
-            if key not in defaults:
-                raise ConfigError(f"unknown config key {key!r}")
-            probe = defaults[key]
-            if probe is None:  # untyped defaults stay strings
-                probe = ""
-            cfg[key] = _coerce(key, raw, probe)
+        cfg.update(_read_config(config_path, defaults))
     for key, value in vars(args).items():
         if key in defaults and value is not None:
             cfg[key] = value
@@ -213,17 +214,9 @@ def cmd_gen(args) -> int:
 def cmd_train(args) -> int:
     # sidecar shape keys are accepted so a recorded config can be fed
     # straight back in; the actual shape always comes from the dataset
-    cfg = _merge({**TRAIN_DEFAULTS, **_SIDECAR_EXTRAS}, args, required=("data", "val_data", "out"))
+    cfg = _merge(_SIDECAR_DEFAULTS, args, required=("data", "val_data", "out"))
     cfg["lr_boundaries"] = _parse_boundaries(cfg["lr_boundaries"])
     channels = _parse_channels(cfg["channels"])
-    train_videos = load_dataset(cfg["data"])
-    val_videos = load_dataset(cfg["val_data"])
-    frames, size, num_classes = _dataset_shape(train_videos)
-
-    log_path = cfg["log"] or str(cfg["out"]) + ".log"
-    for target in (cfg["out"], log_path):
-        Path(target).parent.mkdir(parents=True, exist_ok=True)
-    start_epoch = 0
     tcfg = TrainConfig(
         epochs=cfg["epochs"],
         batch_size=cfg["batch_size"],
@@ -235,6 +228,14 @@ def cmd_train(args) -> int:
         precision=cfg["precision"],
         topk=cfg["topk"],
     )
+    train_videos = load_dataset(cfg["data"])
+    val_videos = load_dataset(cfg["val_data"])
+    frames, size, num_classes = _dataset_shape(train_videos)
+
+    log_path = cfg["log"] or str(cfg["out"]) + ".log"
+    for target in (cfg["out"], log_path):
+        Path(target).parent.mkdir(parents=True, exist_ok=True)
+    start_epoch = 0
     with precision(cfg["precision"]):
         spec = BackboneSpec(frames=frames, size=size, channels=channels, classes=num_classes)
         model = VideoClassifier(spec, _troi_config(cfg), seed=cfg["seed"])
@@ -283,7 +284,7 @@ def cmd_eval(args) -> int:
     if not ckpt.exists():
         raise DataError(f"checkpoint {ckpt} does not exist")
     sidecar_path = cfg["model_config"] or str(ckpt) + ".cfg"
-    sidecar = _read_train_config(sidecar_path)
+    sidecar = {**_SIDECAR_DEFAULTS, **_read_config(sidecar_path, _SIDECAR_DEFAULTS)}
     videos = load_dataset(cfg["data"])
     with precision(sidecar["precision"]):
         model = _model_from_sidecar(sidecar, ckpt)
@@ -297,20 +298,6 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _read_train_config(path) -> dict:
-    known = dict(TRAIN_DEFAULTS)
-    known.update(_SIDECAR_EXTRAS)
-    cfg = dict(known)
-    for key, raw in _parse_config_file(path).items():
-        if key not in known:
-            raise ConfigError(f"unknown key {key!r} in model config {path}")
-        probe = known[key]
-        if probe is None:
-            probe = ""
-        cfg[key] = _coerce(key, raw, probe)
-    return cfg
-
-
 def cmd_ablate(args) -> int:
     cfg = _merge(ABLATE_DEFAULTS, args, required=("data", "val_data", "out_dir"))
     train_videos = load_dataset(cfg["data"])
@@ -319,15 +306,13 @@ def cmd_ablate(args) -> int:
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    tcfg = TrainConfig(epochs=cfg["epochs"], batch_size=cfg["batch_size"], lr=cfg["lr"], seed=cfg["seed"])
     rows = []
     for placement in INSERTION_POINTS:
         for layers in (1, 2):
             spec = BackboneSpec(frames=frames, size=size, classes=num_classes)
             troi = TroiConfig(insert_at=placement, layers=layers, heads=cfg["heads"])
             model = VideoClassifier(spec, troi, seed=cfg["seed"])
-            tcfg = TrainConfig(
-                epochs=cfg["epochs"], batch_size=cfg["batch_size"], lr=cfg["lr"], seed=cfg["seed"]
-            )
             train_model(model, train_videos, val_videos, tcfg)
             metrics = evaluate(model, val_videos)
             rows.append((placement, layers, metrics["top1"], metrics["topk"]))

@@ -81,13 +81,6 @@ class EncoderLayer:
             out.append((q, k, v))
         return out
 
-    def self_attention(self, feats: Tensor, head: int = 0, record: list | None = None) -> Tensor:
-        q, k, v = self.project_qkv(feats)[head]
-        a = attention_weights(q, k)
-        if record is not None:
-            record.append(a.data.copy())
-        return matmul(a, v)
-
     def multi_head(self, feats: Tensor, record: list | None = None, mask: Tensor | None = None) -> Tensor:
         outputs = []
         for q, k, v in self.project_qkv(feats):
@@ -101,8 +94,6 @@ class EncoderLayer:
         g = layer_norm(add(self.multi_head(feats, record, mask), feats), self.ln1_gamma, self.ln1_beta)
         m = linear(relu(linear(g, self.mlp_w1, self.mlp_b1)), self.mlp_w2, self.mlp_b2)
         return layer_norm(add(m, g), self.ln2_gamma, self.ln2_beta)
-
-    __call__ = forward
 
     def parameters(self):
         return [
@@ -134,8 +125,6 @@ class Encoder:
         for layer in self.layers:
             feats = layer.forward(feats, record, mask)
         return feats
-
-    __call__ = forward
 
     def parameters(self):
         out = []

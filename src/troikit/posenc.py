@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .rois import RoiBox
-from .tensor import Tensor, concat_cols, init_uniform, matmul, reshape, slice_cols
+from .tensor import Tensor, concat_cols, init_uniform, matmul, slice_cols
 
 ORDERINGS = ("left-right", "right-left")
 
@@ -25,11 +25,6 @@ def order_rois(rois: Sequence[RoiBox], direction: str = "left-right") -> list[in
     for rank, i in enumerate(ranked):
         positions[i] = rank
     return positions
-
-
-def sinusoidal_encoding(pos: int, channels: int) -> Tensor:
-    """Interleaved sin/cos of pos at geometrically spaced wavelengths."""
-    return Tensor(encoding_matrix([pos], channels)[0])
 
 
 def encoding_matrix(positions: Sequence[int], channels: int) -> np.ndarray:
@@ -56,7 +51,6 @@ class CoordEncoder:
     def __init__(self, channels: int, rng: np.random.Generator):
         if channels % 4:
             raise ConfigError(f"coordinate encoding needs channels divisible by 4, got {channels}")
-        self.channels = channels
         self.weights = [init_uniform(rng, (1, channels // 4), fan_in=1) for _ in range(4)]
 
     def encode(self, boxes: Sequence[RoiBox]) -> Tensor:
@@ -64,12 +58,5 @@ class CoordEncoder:
         parts = [matmul(slice_cols(coords, j, j + 1), w) for j, w in enumerate(self.weights)]
         return concat_cols(parts)
 
-    def encode_one(self, box: RoiBox) -> Tensor:
-        return reshape(self.encode([box]), (self.channels,))
-
     def parameters(self):
         return [(f"coord.w{j}", w) for j, w in enumerate(self.weights)]
-
-
-def coord_encoding(box: RoiBox, encoder: CoordEncoder) -> Tensor:
-    return encoder.encode_one(box)

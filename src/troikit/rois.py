@@ -80,7 +80,6 @@ class RoiFeatureSet:
     features: Tensor  # (N, C)
     boxes: list[RoiBox]
     footprints: list[RoiFootprint]
-    positions: list[int] | None = None
     dropped: int = 0  # boxes discarded as fully outside the image
 
     def __len__(self) -> int:

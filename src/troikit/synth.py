@@ -296,8 +296,8 @@ def build_dataset(
 ) -> list[SynthVideo]:
     """Equal counts per class, interleaved; video seeds derive from
     (base_seed, class, index) so the set is order- and worker-independent."""
-    if per_class < 1:
-        raise ConfigError(f"per_class must be at least 1, got {per_class}")
+    if per_class < 1 or base_seed < 0:
+        raise ConfigError(f"per_class must be at least 1 and the seed non-negative, got {per_class}/{base_seed}")
     jobs = [
         (video_seed(base_seed, ci, idx), cls, frames, size)
         for idx in range(per_class)

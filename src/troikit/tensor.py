@@ -101,40 +101,8 @@ class Tensor:
             raise ContractError(f"item() needs a single element, got shape {self.data.shape}")
         return float(self.data.reshape(-1)[0])
 
-    def backward(self) -> None:
-        backward(self)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return add(self, scale(_as_tensor(other), -1.0))
-
-    def __rsub__(self, other):
-        return add(_as_tensor(other), scale(self, -1.0))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, 1.0 / float(other))
-        raise DimensionError("tensor division is only defined by a scalar")
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def _as_tensor(x) -> Tensor:
@@ -509,8 +477,9 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 # convolution and pooling over (batch, s1, s2, channels) blocks
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: int = 0) -> Tensor:
-    """2-D convolution with a square kernel, zero padding, and stride.
+def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, pad: int = 0) -> Tensor:
+    """2-D convolution with a square kernel and zero padding, one output
+    cell per kernel position.
 
     ``x`` is (batch, s1, s2, c_in); ``w`` is (k, k, c_in, c_out). The
     implementation lowers to one matrix product over unrolled patches.
@@ -525,16 +494,16 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
         raise DimensionError(f"conv2d: kernel {w.data.shape} does not match input {x.data.shape}")
     if b is not None and b.data.shape != (cout,):
         raise DimensionError(f"conv2d bias must have shape ({cout},), got {b.data.shape}")
-    if stride < 1 or pad < 0:
-        raise DimensionError(f"conv2d needs stride >= 1 and pad >= 0, got stride={stride}, pad={pad}")
-    o1 = (s1 + 2 * pad - k) // stride + 1
-    o2 = (s2 + 2 * pad - k) // stride + 1
+    if pad < 0:
+        raise DimensionError(f"conv2d needs pad >= 0, got pad={pad}")
+    o1 = s1 + 2 * pad - k + 1
+    o2 = s2 + 2 * pad - k + 1
     if o1 < 1 or o2 < 1:
         raise DimensionError(f"conv2d: kernel {k} does not fit input {x.data.shape} with pad {pad}")
 
     xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad), (0, 0))) if pad else x.data
-    # one copy of the strided patch view, columns in (k, k, c_in) order
-    win = sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::stride, ::stride]
+    # one copy of the patch view, columns in (k, k, c_in) order
+    win = sliding_window_view(xp, (k, k), axis=(1, 2))
     mat = win.transpose(0, 1, 2, 4, 5, 3).reshape(bsz * o1 * o2, k * k * cin)
     wmat = w.data.reshape(k * k * cin, cout)
     out = mat @ wmat
@@ -554,8 +523,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
             dxp = np.zeros((bsz, s1 + 2 * pad, s2 + 2 * pad, cin), dtype=g.dtype)
             for i in range(k):
                 for j in range(k):
-                    tap = (gm @ w.data[i, j].T).reshape(bsz, o1, o2, cin)
-                    dxp[:, i : i + stride * o1 : stride, j : j + stride * o2 : stride, :] += tap
+                    dxp[:, i : i + o1, j : j + o2, :] += (gm @ w.data[i, j].T).reshape(bsz, o1, o2, cin)
             _accumulate(x, dxp[:, pad : pad + s1, pad : pad + s2, :] if pad else dxp, owned=True)
 
     parents = (x, w) if b is None else (x, w, b)
@@ -565,45 +533,41 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, pad: 
 _POOL_SLICE_BYTES = 1 << 18  # max_pool2d output per batch slice, so its temporaries stay in cache
 
 
-def max_pool2d(x: Tensor, k: int = 2, stride: int | None = None) -> Tensor:
-    """Windowed max over the two spatial axes; ``stride`` defaults to ``k``.
+def max_pool2d(x: Tensor) -> Tensor:
+    """Max over side-by-side 2x2 windows of the two spatial axes. An odd
+    trailing row or column lies in no window: it is dropped, and its
+    gradient is 0.
 
     The first maximum of a window in (i, j) scan order takes its gradient.
     When a graph is built, the forward pass keeps that position as a small
     integer array (a strict ``>`` against the running max), so the
     backward pass reads neither ``x`` nor the output. A window holding a
-    NaN now sends its gradient to one of its positions, where it used to
-    send it nowhere; training stops at a non-finite loss before
-    ``backward``, so no training path reaches this case.
+    NaN sends its gradient to one of its positions; training stops at a
+    non-finite loss before ``backward``, so no training path reaches this
+    case.
     """
     x = _as_tensor(x)
     if x.data.ndim != 4:
         raise DimensionError(f"max_pool2d expects 4-d input, got {x.data.shape}")
-    if stride is None:
-        stride = k
-    if k < 1 or stride < 1:
-        raise DimensionError(f"max_pool2d needs k >= 1 and stride >= 1, got k={k}, stride={stride}")
     bsz, s1, s2, c = x.data.shape
-    o1 = (s1 - k) // stride + 1
-    o2 = (s2 - k) // stride + 1
+    o1, o2 = s1 // 2, s2 // 2
     if o1 < 1 or o2 < 1:
-        raise DimensionError(f"pool window {k} does not fit input {x.data.shape}")
-    taps = [(i, j) for i in range(k) for j in range(k)]
+        raise DimensionError(f"2x2 pool window does not fit input {x.data.shape}")
 
-    def window(a, n):
-        i, j = taps[n]
-        return a[:, i : i + stride * o1 : stride, j : j + stride * o2 : stride, :]
+    def window(a, n):  # tap n of each window, in (i, j) scan order
+        i, j = divmod(n, 2)
+        return a[:, i : i + 2 * o1 : 2, j : j + 2 * o2 : 2, :]
 
     out = window(x.data, 0).copy()
     if not (_state["grad_enabled"] and x.requires_grad):
-        for n in range(1, len(taps)):
+        for n in range(1, 4):
             np.maximum(out, window(x.data, n), out=out)
         return Tensor._result(out, (x,), None)
 
     # first[cell] is the scan-order tap of the window's first maximum. The
     # batch goes in slices whose temporaries stay in cache, and a contiguous
     # copy of each tap makes the compare and the max cheap.
-    first = np.zeros(out.shape, dtype=np.min_scalar_type(len(taps) - 1))
+    first = np.zeros(out.shape, dtype=np.uint8)
     step = max(1, _POOL_SLICE_BYTES // max(out[:1].nbytes, 1))
     slices = [slice(lo, lo + step) for lo in range(0, bsz, step)]
     cand_buf = np.empty_like(out[:step])
@@ -611,24 +575,21 @@ def max_pool2d(x: Tensor, k: int = 2, stride: int | None = None) -> Tensor:
     for sl in slices:
         xs, outs, firsts = x.data[sl], out[sl], first[sl]
         cand, hit = cand_buf[: len(outs)], hit_buf[: len(outs)]
-        for n in range(1, len(taps)):
+        for n in range(1, 4):
             np.copyto(cand, window(xs, n))
             np.greater(cand, outs, out=hit)
-            np.maximum(firsts, hit * first.dtype.type(n), out=firsts)
+            np.maximum(firsts, hit * np.uint8(n), out=firsts)
             np.maximum(outs, cand, out=outs)
 
     def _bw(g):
-        if stride == k and s1 == o1 * k and s2 == o2 * k:
-            gx = np.empty_like(x.data)  # the windows tile the input exactly
-        else:
+        if s1 % 2 or s2 % 2:
             gx = np.zeros_like(x.data)
+        else:
+            gx = np.empty_like(x.data)  # the windows tile the input exactly
         for sl in slices:
             gs, firsts, gxs = g[sl], first[sl], gx[sl]
-            for n in range(len(taps)):
-                if stride < k:  # overlapping windows share input cells
-                    window(gxs, n)[...] += gs * (firsts == n)
-                else:
-                    np.multiply(gs, firsts == n, out=window(gxs, n))
+            for n in range(4):
+                np.multiply(gs, firsts == n, out=window(gxs, n))
         _accumulate(x, gx, owned=True)
 
     return Tensor._result(out, (x,), _bw)

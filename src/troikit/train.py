@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -29,8 +30,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError(f"epochs/batch_size must be positive, got {self.epochs}/{self.batch_size}")
-        if self.lr <= 0:
-            raise ConfigError(f"learning rate must be positive, got {self.lr}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"learning rate must be positive and finite, got {self.lr}")
+        if not (math.isfinite(self.momentum) and math.isfinite(self.weight_decay)):
+            raise ConfigError(f"momentum/weight_decay must be finite, got {self.momentum}/{self.weight_decay}")
+        if self.topk < 1 or self.seed < 0:
+            raise ConfigError(f"topk must be at least 1 and seed non-negative, got {self.topk}/{self.seed}")
         if self.precision not in ("f32", "f64"):
             raise ConfigError(f"unknown precision {self.precision!r}")
         if self.lr_boundaries is not None:
@@ -90,6 +95,8 @@ def evaluate(
     lowest index, so the result is deterministic."""
     if not videos:
         raise ContractError("evaluate needs a non-empty dataset")
+    if k < 1 or batch_size < 1:
+        raise ConfigError(f"top-k and batch size must be at least 1, got {k}/{batch_size}")
     classes = model.spec.classes
     hits1 = np.zeros(classes, dtype=np.int64)
     hitsk = np.zeros(classes, dtype=np.int64)

@@ -9,7 +9,7 @@ cover. Cells outside every footprint are untouched; a video with no
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -17,7 +17,7 @@ import numpy as np
 from .encoder import Encoder
 from .errors import ConfigError
 from .posenc import ORDERINGS, CoordEncoder, encoding_matrix, order_rois
-from .rois import RoiBox, RoiFeatureSet, extract_features, write_back
+from .rois import RoiBox, extract_features, write_back
 from .tensor import Tensor, add, concat_axis0, reduce_max, reshape, slice_axis0
 
 INSERTION_POINTS = ("conv3", "conv4", "conv5")
@@ -96,8 +96,7 @@ class TroiModule:
         video = np.array([box.frame for box in fset.boxes]) // frames  # rows are grouped by video
         # positions count from 0 in each video: global ranks minus the video's first row
         ranks = np.asarray(order_rois(fset.boxes, self.config.ordering))
-        fset.positions = (ranks - np.searchsorted(video, video)).tolist()
-        positions = fset.positions
+        positions = (ranks - np.searchsorted(video, video)).tolist()
         if self.config.scene_token:
             # video v's scene rows take positions n_v..n_v+T-1, after its n_v ROI rows
             rows = np.bincount(video, minlength=videos)
@@ -117,9 +116,7 @@ class TroiModule:
         feats = self.encoder.forward(feats, record_attention, mask)
         if feats.data.shape[0] != n:
             feats = slice_axis0(feats, 0, n)  # scene rows are never written back
-        return write_back(x, replace_features(fset, feats))
-
-    __call__ = forward
+        return write_back(x, replace(fset, features=feats))
 
     def parameters(self):
         out = [(f"encoder.{name}", p) for name, p in self.encoder.parameters()]
@@ -132,13 +129,3 @@ def scene_tokens(x: Tensor) -> Tensor:
     """One max-pooled whole-frame row per frame of an (F, W, H, C) map."""
     f, w, h, c = x.data.shape
     return reduce_max(reshape(x, (f, w * h, c)), axis=1)
-
-
-def replace_features(fset: RoiFeatureSet, feats: Tensor) -> RoiFeatureSet:
-    return RoiFeatureSet(
-        features=feats,
-        boxes=fset.boxes,
-        footprints=fset.footprints,
-        positions=fset.positions,
-        dropped=fset.dropped,
-    )

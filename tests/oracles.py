@@ -44,12 +44,12 @@ def layer_norm_loops(x, gamma, beta, eps):
     return out
 
 
-def conv2d_loops(x, w, b=None, stride=1, pad=0):
+def conv2d_loops(x, w, b=None, pad=0):
     bsz, s1, s2, cin = x.shape
     k = w.shape[0]
     cout = w.shape[3]
-    o1 = (s1 + 2 * pad - k) // stride + 1
-    o2 = (s2 + 2 * pad - k) // stride + 1
+    o1 = s1 + 2 * pad - k + 1
+    o2 = s2 + 2 * pad - k + 1
     xp = np.zeros((bsz, s1 + 2 * pad, s2 + 2 * pad, cin), dtype=np.float64)
     xp[:, pad : pad + s1, pad : pad + s2, :] = x
     out = np.zeros((bsz, o1, o2, cout), dtype=np.float64)
@@ -61,27 +61,25 @@ def conv2d_loops(x, w, b=None, stride=1, pad=0):
                     for di in range(k):
                         for dj in range(k):
                             for ci in range(cin):
-                                acc += xp[n, i * stride + di, j * stride + dj, ci] * w[di, dj, ci, co]
+                                acc += xp[n, i + di, j + dj, ci] * w[di, dj, ci, co]
                     out[n, i, j, co] = acc + (b[co] if b is not None else 0.0)
     return out
 
 
-def max_pool_loops(x, k=2, stride=2):
+def max_pool_loops(x):
+    """Max over side-by-side 2x2 windows; an odd trailing row or column
+    is dropped."""
     bsz, s1, s2, c = x.shape
-    o1 = (s1 - k) // stride + 1
-    o2 = (s2 - k) // stride + 1
-    out = np.zeros((bsz, o1, o2, c), dtype=np.float64)
+    out = np.zeros((bsz, s1 // 2, s2 // 2, c), dtype=np.float64)
     for n in range(bsz):
-        for i in range(o1):
-            for j in range(o2):
+        for i in range(s1 // 2):
+            for j in range(s2 // 2):
                 for ch in range(c):
-                    out[n, i, j, ch] = max(
-                        x[n, i * stride + di, j * stride + dj, ch] for di in range(k) for dj in range(k)
-                    )
+                    out[n, i, j, ch] = max(x[n, 2 * i + di, 2 * j + dj, ch] for di in range(2) for dj in range(2))
     return out
 
 
-def max_pool_grad_loops(x, g, k=2, stride=2):
+def max_pool_grad_loops(x, g):
     """Gradient of sum(g * max_pool(x)): each window passes its g to the
     first maximum in row-major window order."""
     gx = np.zeros(x.shape, dtype=np.float64)
@@ -91,12 +89,12 @@ def max_pool_grad_loops(x, g, k=2, stride=2):
             for j in range(o2):
                 for ch in range(c):
                     best = None
-                    for di in range(k):
-                        for dj in range(k):
-                            v = x[n, i * stride + di, j * stride + dj, ch]
+                    for di in range(2):
+                        for dj in range(2):
+                            v = x[n, 2 * i + di, 2 * j + dj, ch]
                             if best is None or v > best[0]:
                                 best = (v, di, dj)
-                    gx[n, i * stride + best[1], j * stride + best[2], ch] += g[n, i, j, ch]
+                    gx[n, 2 * i + best[1], 2 * j + best[2], ch] += g[n, i, j, ch]
     return gx
 
 

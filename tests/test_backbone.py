@@ -55,8 +55,14 @@ class TestForward:
         model = VideoClassifier(SMALL, None, seed=0)
         frames = Tensor(rng.uniform(size=(4, 16, 16, 3)))
         perm = np.array([2, 0, 3, 1])
-        base = model.frame_features(frames, upto_stage=2).data
-        permuted = model.frame_features(Tensor(frames.data[perm]), upto_stage=2).data
+
+        def stage_features(x):  # stages 0-2, as forward_batch runs them
+            for stage in range(3):
+                x = model._stage(x, stage)
+            return x.data
+
+        base = stage_features(frames)
+        permuted = stage_features(Tensor(frames.data[perm]))
         assert np.allclose(permuted, base[perm], atol=1e-6)
 
     def test_batch_matches_single(self, rng):
@@ -73,6 +79,8 @@ class TestForward:
             BackboneSpec(size=20)
         with pytest.raises(ConfigError):
             BackboneSpec(channels=(4, 8))
+        with pytest.raises(ConfigError, match="positive"):
+            BackboneSpec(channels=(0, 6, 8, 8))  # a raw ZeroDivisionError in the next stage's init otherwise
         model = VideoClassifier(SMALL, None, seed=0)
         with pytest.raises(ConfigError):
             model.forward_batch(Tensor(np.zeros((1, 3, 16, 16, 3))), [[]])

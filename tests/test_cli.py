@@ -82,6 +82,7 @@ class TestGen:
             ("--size", "0", "at least 1x1"),
             ("--per-class", "0", "per_class must be at least 1"),
             ("--per-class", "-2", "per_class must be at least 1"),
+            ("--seed", "-1", "seed non-negative"),
         ],
     )
     def test_degenerate_shape_exits_2(self, tmp_path, capsys, flag, value, message):
@@ -203,6 +204,19 @@ class TestTrain:
         ) == 3
         assert "4 tab-separated fields" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--momentum", "nan"), ("--weight-decay", "inf"), ("--lr", "inf"), ("--topk", "0"), ("--seed", "-1")],
+    )
+    def test_non_finite_or_out_of_range_setting_exits_2(self, tiny_data, tmp_path, capsys, flag, value):
+        out = tmp_path / "bad.ckpt"
+        assert main(
+            ["train", "--data", str(tiny_data / "train"), "--val-data", str(tiny_data / "val"),
+             "--out", str(out), "--epochs", "1", "--channels", "4,6,8,8", flag, value]
+        ) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_config_key_rejected(self, tiny_data, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("eppochs = 1\n")
@@ -233,6 +247,12 @@ class TestEval:
         assert main(["eval", "--data", str(tiny_data / "val"), "--checkpoint", str(trained),
                      "--corrupt", "smear"]) == 2
 
+    @pytest.mark.parametrize("flag, value", [("--batch-size", "0"), ("--topk", "0"), ("--topk", "-1")])
+    def test_nonpositive_topk_or_batch_size_exits_2(self, tiny_data, trained, capsys, flag, value):
+        assert main(["eval", "--data", str(tiny_data / "val"), "--checkpoint", str(trained), flag, value]) == 2
+        captured = capsys.readouterr()
+        assert "must be at least 1" in captured.err and "top1=" not in captured.out
+
 
 class TestGradcheckCommand:
     def test_single_op(self, capsys):
@@ -246,6 +266,13 @@ class TestGradcheckCommand:
 
     def test_unknown_op(self):
         assert main(["gradcheck", "--op", "warp"]) == 2
+
+    @pytest.mark.parametrize("flag, value", [("--points", "0"), ("--tol", "nan"), ("--perturb", "nan")])
+    def test_setting_that_checks_nothing_exits_2(self, capsys, flag, value):
+        # each of these would report every op as a pass
+        assert main(["gradcheck", "--op", "matmul", "--points", "1", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert "must be" in captured.err and "pass" not in captured.out
 
 
 class TestAblate:

@@ -100,12 +100,13 @@ class TestAttention:
 
 class TestSelfAttentionAndMHA:
     def test_single_row_returns_value(self, rng):
+        # one row attends only to itself, so each head returns its value row
         with precision("f64"):
             layer = EncoderLayer(8, 2, rng)
             feats = Tensor(rng.normal(size=(1, 8)))
-            (_, _, v) = layer.project_qkv(feats)[0]
-            out = layer.self_attention(feats, head=0)
-            assert np.allclose(out.data, v.data, atol=1e-12)
+            values = np.concatenate([v.data for _, _, v in layer.project_qkv(feats)], axis=1)
+            out = layer.multi_head(feats)
+            assert np.allclose(out.data, values @ layer.w_out.data, atol=1e-12)
 
     def test_equal_rows_give_equal_outputs(self, rng):
         layer = EncoderLayer(8, 2, rng)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from troikit.errors import ConfigError
 from troikit.gradcheck import ALL_OPS, DEFAULT_TOL, check_point, format_report, run_checks
 from troikit.rois import RoiBox, RoiFeatureSet, box_to_footprint, write_back
 from troikit.tensor import (
@@ -41,6 +42,24 @@ def test_perturbed_gradients_are_caught():
 def test_unknown_op_rejected():
     with pytest.raises(KeyError):
         run_checks(ops=["banana"])
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"points": 0}, {"tol": float("nan")}, {"tol": 0.0}, {"perturb": float("nan")}],
+)
+def test_meaningless_settings_are_rejected(kwargs):
+    # no points, a NaN tol or a NaN perturb would report every op as a pass
+    with pytest.raises(ConfigError, match="must be"):
+        run_checks(ops=["matmul"], **{"points": 1, **kwargs})
+
+
+def test_nan_error_is_a_failure(rng):
+    # a gradient that is NaN everywhere must not read as a pass
+    x = Tensor(rng.normal(size=(2, 2)), requires_grad=True)
+    with precision("f64"):
+        ok, _, checked = check_point(lambda: reduce_sum(mul(x, Tensor(np.full((2, 2), np.nan)))), [x], rng, 1e-4, 4)
+    assert checked == 4 and not ok
 
 
 def test_report_formatting():

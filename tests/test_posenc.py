@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from troikit.errors import ConfigError
-from troikit.posenc import CoordEncoder, encoding_matrix, order_rois, sinusoidal_encoding
+from troikit.posenc import CoordEncoder, encoding_matrix, order_rois
 from troikit.rois import RoiBox
 from troikit.tensor import precision
 
@@ -69,24 +69,23 @@ class TestOrdering:
 
 class TestSinusoid:
     def test_position_zero(self):
-        enc = sinusoidal_encoding(0, 8).data
+        enc = encoding_matrix([0], 8)[0]
         assert np.array_equal(enc[0::2], np.zeros(4))
         assert np.array_equal(enc[1::2], np.ones(4))
 
     def test_position_one_frozen(self):
-        enc = sinusoidal_encoding(1, 4).data
+        enc = encoding_matrix([1], 4)[0]
         ref = oracles.sinusoid_loops(1, 4)
         assert np.allclose(ref[:2], [0.84147, 0.54030], atol=1e-5)
         assert np.allclose(enc, ref, atol=1e-12)
 
     def test_distinct_positions_differ(self):
-        a = sinusoidal_encoding(0, 16).data
-        b = sinusoidal_encoding(1, 16).data
+        a, b = encoding_matrix([0, 1], 16)
         assert np.linalg.norm(a - b) > 0
 
     def test_odd_channels_rejected(self):
         with pytest.raises(ConfigError):
-            sinusoidal_encoding(1, 7)
+            encoding_matrix([1], 7)
 
     def test_matrix_matches_loops(self):
         mat = encoding_matrix([0, 3, 11], 12)
@@ -127,7 +126,3 @@ class TestCoordEncoder:
     def test_channel_divisibility(self, rng):
         with pytest.raises(ConfigError):
             CoordEncoder(10, rng)
-
-    def test_encode_one_shape(self, rng):
-        enc = CoordEncoder(8, rng)
-        assert enc.encode_one(RoiBox(0, 0.1, 0.2, 0.5, 0.6)).data.shape == (8,)

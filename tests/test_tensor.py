@@ -35,7 +35,7 @@ from troikit.tensor import (
 
 import oracles
 
-CONV_CASES = ((1, 0), (1, 1), (2, 1))  # (stride, pad)
+CONV_PADS = (0, 1)
 
 
 def assert_matches_finite_differences(fn, leaves, tol=1e-7):
@@ -165,60 +165,55 @@ class TestElementwiseAndPooling:
 
     def test_conv_matches_loops(self, rng):
         with precision("f64"):
-            for stride, pad in CONV_CASES:
+            for pad in CONV_PADS:
                 x = rng.normal(size=(2, 6, 6, 3))
                 w = rng.normal(size=(3, 3, 3, 4))
                 b = rng.normal(size=4)
-                out = conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, pad=pad)
-                ref = oracles.conv2d_loops(x, w, b, stride=stride, pad=pad)
+                out = conv2d(Tensor(x), Tensor(w), Tensor(b), pad=pad)
+                ref = oracles.conv2d_loops(x, w, b, pad=pad)
                 assert np.allclose(out.data, ref, atol=1e-12, rtol=0)
 
-    @pytest.mark.parametrize("stride, pad", CONV_CASES)
+    @pytest.mark.parametrize("pad", CONV_PADS)
     @pytest.mark.parametrize("bias", [True, False])
     @pytest.mark.parametrize("x_grad", [True, False])
-    def test_conv_gradients_match_finite_differences(self, rng, stride, pad, bias, x_grad):
+    def test_conv_gradients_match_finite_differences(self, rng, pad, bias, x_grad):
         with precision("f64"):
             x = Tensor(rng.normal(size=(2, 6, 6, 3)), requires_grad=x_grad)
             w = Tensor(rng.normal(size=(3, 3, 3, 4)), requires_grad=True)
             b = Tensor(rng.normal(size=4), requires_grad=True) if bias else None
-            proj = Tensor(rng.normal(size=conv2d(x, w, b, stride=stride, pad=pad).shape))
+            proj = Tensor(rng.normal(size=conv2d(x, w, b, pad=pad).shape))
 
             def fn():
-                return reduce_sum(mul(conv2d(x, w, b, stride=stride, pad=pad), proj))
+                return reduce_sum(mul(conv2d(x, w, b, pad=pad), proj))
 
             leaves = [t for t in (x, w, b) if t is not None and t.requires_grad]
             assert_matches_finite_differences(fn, leaves)
             if not x_grad:
                 assert x.grad is None
 
-    @pytest.mark.parametrize(
-        "shape, k, stride",
-        [((2, 6, 6, 3), 2, None), ((2, 5, 7, 3), 2, None), ((1, 7, 7, 2), 3, 2), ((1, 7, 8, 2), 2, 3)],
-        ids=["even", "odd-size", "overlapping", "gapped"],
-    )
-    def test_max_pool_gradients_match_finite_differences(self, rng, shape, k, stride):
+    @pytest.mark.parametrize("shape", [(2, 6, 6, 3), (2, 5, 7, 3)], ids=["even", "odd-size"])
+    def test_max_pool_gradients_match_finite_differences(self, rng, shape):
         with precision("f64"):
             x = Tensor(rng.normal(size=shape), requires_grad=True)
-            out = max_pool2d(x, k, stride)
-            assert np.array_equal(out.data, oracles.max_pool_loops(x.data, k, stride or k))
+            out = max_pool2d(x)
+            assert np.array_equal(out.data, oracles.max_pool_loops(x.data))
             proj = Tensor(rng.normal(size=out.shape))
 
             def fn():
-                return reduce_sum(mul(max_pool2d(x, k, stride), proj))
+                return reduce_sum(mul(max_pool2d(x), proj))
 
             assert_matches_finite_differences(fn, [x])
             backward(fn())
-            ref = oracles.max_pool_grad_loops(x.data, proj.data, k, stride or k)
+            ref = oracles.max_pool_grad_loops(x.data, proj.data)
             assert np.allclose(x.grad, ref, atol=1e-12, rtol=0)
 
-    @pytest.mark.parametrize("k, stride", [(2, 2), (3, 2), (2, 3)])
-    def test_max_pool_tied_windows_route_to_first_max(self, rng, k, stride):
+    def test_max_pool_tied_windows_route_to_first_max(self, rng):
         with precision("f64"):
             x = Tensor(rng.integers(0, 2, size=(2, 7, 7, 3)).astype(float), requires_grad=True)
-            out = max_pool2d(x, k, stride)
+            out = max_pool2d(x)
             proj = Tensor(rng.normal(size=out.shape))
             backward(reduce_sum(mul(out, proj)))
-            ref = oracles.max_pool_grad_loops(x.data, proj.data, k, stride)
+            ref = oracles.max_pool_grad_loops(x.data, proj.data)
             assert np.allclose(x.grad, ref, atol=1e-12, rtol=0)
 
     @given(st.data())
@@ -227,12 +222,10 @@ class TestElementwiseAndPooling:
         # the backbone runs conv -> pool -> ReLU; this pins it to
         # conv -> ReLU -> pool, bit for bit
         dtype = data.draw(st.sampled_from([np.float32, np.float64]))
-        k = data.draw(st.integers(1, 3))
-        stride = data.draw(st.one_of(st.none(), st.integers(1, 4)))  # overlapping, tiling and gapped
         shape = (
             data.draw(st.integers(1, 2)),
-            data.draw(st.integers(k, 7)),  # odd sides leave cells outside every window
-            data.draw(st.integers(k, 7)),
+            data.draw(st.integers(2, 7)),  # odd sides leave cells outside every window
+            data.draw(st.integers(2, 7)),
             data.draw(st.integers(1, 3)),
         )
         # few distinct values: flat (tied) windows and all-nonpositive ones are common
@@ -241,72 +234,53 @@ class TestElementwiseAndPooling:
         with precision("f32" if dtype is np.float32 else "f64"):
             a = Tensor(x, requires_grad=True)
             b = Tensor(x, requires_grad=True)
-            pool_relu = relu(max_pool2d(a, k, stride))
-            relu_pool = max_pool2d(relu(b), k, stride)
+            pool_relu = relu(max_pool2d(a))
+            relu_pool = max_pool2d(relu(b))
             assert pool_relu.data.dtype == relu_pool.data.dtype == dtype
             assert pool_relu.data.tobytes() == relu_pool.data.tobytes()
             g = data.draw(arrays(dtype, pool_relu.shape, elements=st.floats(-3, 3, width=32)))
             backward(reduce_sum(mul(pool_relu, Tensor(g))))
             backward(reduce_sum(mul(relu_pool, Tensor(g))))
-            ga, gb = a.grad, b.grad
-            if stride is not None and stride < k:
-                # a cell in overlapping windows sums its windows' shares, and
-                # 0.0 + -0.0 is 0.0, so only the sign of a zero may differ
-                ga, gb = ga + dtype(0), gb + dtype(0)
-            assert ga.tobytes() == gb.tobytes()
+            assert a.grad.tobytes() == b.grad.tobytes()
 
-    @pytest.mark.parametrize("k, stride", [(2, None), (3, 2), (2, 3)], ids=["tiling", "overlapping", "gapped"])
-    def test_max_pool_batch_slices_match_loops(self, rng, monkeypatch, k, stride):
-        # slices of two pooled 3x3x2 f64 images (four 2x2 ones) over a batch
-        # of 5: the last slice is short
+    def test_max_pool_batch_slices_match_loops(self, rng, monkeypatch):
+        # slices of two pooled 3x3x2 f64 images over a batch of 5: the
+        # last slice is short
         monkeypatch.setattr(tensor_module, "_POOL_SLICE_BYTES", 2 * 3 * 3 * 2 * 8)
         with precision("f64"):
             x = Tensor(rng.integers(-2, 3, size=(5, 7, 7, 2)).astype(float), requires_grad=True)
-            out = max_pool2d(x, k, stride)
-            assert np.array_equal(out.data, oracles.max_pool_loops(x.data, k, stride or k))
+            out = max_pool2d(x)
+            assert np.array_equal(out.data, oracles.max_pool_loops(x.data))
             proj = Tensor(rng.normal(size=out.shape))
             backward(reduce_sum(mul(out, proj)))
-            ref = oracles.max_pool_grad_loops(x.data, proj.data, k, stride or k)
+            ref = oracles.max_pool_grad_loops(x.data, proj.data)
             assert np.allclose(x.grad, ref, atol=1e-12, rtol=0)
 
-    def test_max_pool_window_of_more_than_256_taps(self, rng):
-        # the first-max index outgrows one byte
-        with precision("f64"):
-            x = Tensor(rng.normal(size=(2, 18, 17, 1)), requires_grad=True)
-            out = max_pool2d(x, 17)
-            proj = Tensor(rng.normal(size=out.shape))
-            backward(reduce_sum(mul(out, proj)))
-            assert np.array_equal(out.data, oracles.max_pool_loops(x.data, 17, 17))
-            assert np.array_equal(x.grad, oracles.max_pool_grad_loops(x.data, proj.data, 17, 17))
+    def test_max_pool_rejects_a_side_shorter_than_the_window(self):
+        with pytest.raises(DimensionError, match="does not fit"):
+            max_pool2d(Tensor(np.zeros((1, 1, 4, 1))))
 
-    @pytest.mark.parametrize("k, stride", [(0, None), (0, 2), (2, 0), (2, -1), (-1, None)])
-    def test_max_pool_rejects_nonpositive_window_or_stride(self, k, stride):
-        # stride=0 must not fall back to stride k
-        with pytest.raises(DimensionError, match="k >= 1 and stride >= 1"):
-            max_pool2d(Tensor(np.zeros((1, 4, 4, 1))), k, stride)
-
-    @pytest.mark.parametrize("stride, pad", [(0, 0), (-1, 1), (1, -1)])
-    def test_conv_rejects_nonpositive_stride_or_negative_pad(self, stride, pad):
-        with pytest.raises(DimensionError, match="stride >= 1 and pad >= 0"):
-            conv2d(Tensor(np.zeros((1, 5, 5, 1))), Tensor(np.zeros((3, 3, 1, 1))), stride=stride, pad=pad)
+    def test_conv_rejects_negative_pad(self):
+        with pytest.raises(DimensionError, match="pad >= 0"):
+            conv2d(Tensor(np.zeros((1, 5, 5, 1))), Tensor(np.zeros((3, 3, 1, 1))), pad=-1)
 
     def test_max_pool_untracked_path_matches_tracked(self, rng):
         # without a graph max_pool2d skips the first-max index
         x = Tensor(rng.integers(-2, 3, size=(3, 7, 6, 2)).astype(float), requires_grad=True)
         with no_grad():
-            untracked = max_pool2d(x, 3, 2)
+            untracked = max_pool2d(x)
         assert untracked._backward is None
-        assert np.array_equal(untracked.data, max_pool2d(x, 3, 2).data)
-        assert np.array_equal(max_pool2d(Tensor(x.data), 3, 2).data, untracked.data)
+        assert np.array_equal(untracked.data, max_pool2d(x).data)
+        assert np.array_equal(max_pool2d(Tensor(x.data)).data, untracked.data)
 
     def test_max_pool_matches_loops(self, rng):
         x = rng.normal(size=(2, 6, 6, 3))
-        out = max_pool2d(Tensor(x), 2)
+        out = max_pool2d(Tensor(x))
         assert np.allclose(out.data, oracles.max_pool_loops(x), atol=1e-6)
 
     def test_pool_gradient_goes_to_first_max_on_ties(self):
         x = Tensor(np.ones((1, 2, 2, 1)), requires_grad=True)
-        backward(reduce_sum(max_pool2d(x, 2)))
+        backward(reduce_sum(max_pool2d(x)))
         assert x.grad.ravel().tolist() == [1.0, 0.0, 0.0, 0.0]
 
     def test_bias_broadcast_over_rows(self):

@@ -86,6 +86,23 @@ class TestSchedule:
         with pytest.raises(ConfigError):
             TrainConfig(precision="f16")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("lr", float("inf")),
+            ("lr", float("nan")),
+            ("momentum", float("nan")),
+            ("weight_decay", float("inf")),
+            ("weight_decay", float("-inf")),
+            ("topk", 0),
+            ("seed", -1),
+        ],
+    )
+    def test_non_finite_or_out_of_range_setting_rejected(self, field, value):
+        # a NaN momentum would train to an all-NaN checkpoint with a finite logged loss
+        with pytest.raises(ConfigError):
+            TrainConfig(**{field: value})
+
 
 class _StubModel:
     """Duck-typed stand-in returning canned logits."""
@@ -132,6 +149,12 @@ class TestEvaluate:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ContractError):
             evaluate(_StubModel(6, lambda: np.zeros(6)), [])
+
+    @pytest.mark.parametrize("k, batch_size", [(0, 32), (-1, 32), (5, 0)])
+    def test_nonpositive_topk_or_batch_size_rejected(self, k, batch_size):
+        # k=-1 would report a top-(K-1) accuracy, batch_size=0 a raw ValueError
+        with pytest.raises(ConfigError, match="at least 1"):
+            evaluate(_StubModel(6, lambda: np.zeros(6)), tiny_videos([0, 1]), k=k, batch_size=batch_size)
 
 
 class TestLogLines:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from troikit.errors import ConfigError
 from troikit.posenc import encoding_matrix, order_rois
 from troikit.rois import RoiBox, extract_features, write_back
 from troikit.tensor import Tensor, add, concat_axis0, precision, slice_axis0
-from troikit.troi import TroiConfig, TroiModule, replace_features, scene_tokens
+from troikit.troi import TroiConfig, TroiModule, scene_tokens
 
 from test_rois import random_box
 
@@ -73,7 +75,7 @@ class TestForward:
             positions = order_rois(fset.boxes)
             feats = add(fset.features, Tensor(encoding_matrix(positions, 8)))
             feats = module.encoder.forward(feats)
-            expected = write_back(x, replace_features(fset, feats))
+            expected = write_back(x, replace(fset, features=feats))
             assert np.allclose(out.data, expected.data, atol=1e-6)
 
     def test_shape_preserved(self, rng):
@@ -136,7 +138,7 @@ class TestSceneTokens:
             feats = add(fset.features, Tensor(encoding_matrix(order_rois(fset.boxes), 8)))
             tokens = add(scene_tokens(x), Tensor(encoding_matrix([3, 4, 5], 8)))
             feats = module.encoder.forward(concat_axis0([feats, tokens]))
-            expected = write_back(x, replace_features(fset, slice_axis0(feats, 0, 3)))
+            expected = write_back(x, replace(fset, features=slice_axis0(feats, 0, 3)))
             assert np.allclose(out.data, expected.data, atol=1e-12)
 
     def test_scene_rows_not_written_back(self, rng):
