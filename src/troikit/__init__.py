@@ -3,7 +3,7 @@ video classifiers, plus the synthetic benchmark and harnesses that
 exercise it."""
 
 from .backbone import BackboneSpec, VideoClassifier, load_checkpoint, save_checkpoint
-from .encoder import Encoder, EncoderLayer, attention_weights
+from .encoder import Encoder, EncoderLayer
 from .errors import (
     ConfigError,
     ContractError,

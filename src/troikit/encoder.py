@@ -3,12 +3,19 @@
 One layer is: multi-head scaled dot-product attention with a residual
 connection and layer norm, then a two-layer MLP (ReLU between) with a
 second residual and layer norm. Queries, keys and values for all heads
-come from a single (C, 3C) projection sliced per head.
+come from a single (C, 3C) projection.
+
+Rows may come from several videos. The row-wise parts (projections, layer
+norms, MLP) run on the packed (N, C) rows; the attention core runs on
+zero-padded per-video blocks, with every head of every video as one entry
+of a leading batch axis, so a row only ever attends to rows of its own
+video.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,32 +23,47 @@ from .errors import ConfigError
 from .tensor import (
     Tensor,
     add,
-    concat_cols,
     init_uniform,
     layer_norm,
     linear,
     matmul,
     ones_param,
+    pack_rows,
     relu,
     scale,
-    slice_cols,
+    slice_axis0,
     softmax_rows,
     transpose,
+    unpack_rows,
     zeros_param,
 )
 
 
-def attention_weights(q: Tensor, k: Tensor, mask: Tensor | None = None) -> Tensor:
-    """Row-normalized scaled dot-product similarities, one row per query.
-    An additive ``mask`` (0 or -inf per query/key pair) removes the -inf
-    pairs; every row must keep at least one pair."""
-    if q.data.shape[1] != k.data.shape[1]:
-        raise ConfigError(
-            f"query width {q.data.shape[1]} does not match key width {k.data.shape[1]}"
-        )
-    dk = q.data.shape[1]
-    scores = scale(matmul(q, transpose(k)), 1.0 / math.sqrt(dk))
-    return softmax_rows(scores if mask is None else add(scores, mask))
+class Blocks(NamedTuple):
+    """Where each packed row sits in the padded per-video blocks."""
+
+    slot: np.ndarray  # (N,) position in the flattened (count, width) grid
+    count: int  # one block per video that has rows
+    width: int  # rows in the largest block
+    mask: Tensor | None  # additive (heads*count, width, width): -inf on padding keys; None if none
+
+
+def blocks_of(video: np.ndarray, heads: int) -> Blocks:
+    """Blocks for rows whose videos are the non-negative integers
+    ``video`` (any order); rows keep their relative order inside their
+    video's block."""
+    order = np.argsort(video, kind="stable")
+    sizes = np.bincount(video)
+    sizes = sizes[sizes > 0]
+    count, width = sizes.size, int(sizes.max())
+    slot = np.empty_like(order)
+    slot[order] = np.arange(order.size) + np.repeat(np.arange(count) * width - np.cumsum(sizes) + sizes, sizes)
+    mask = None
+    if sizes.min() != width:
+        keys = np.full((heads, count * width), -np.inf)
+        keys[:, slot] = 0.0
+        mask = Tensor(keys.reshape(heads * count, 1, width).repeat(width, axis=1))
+    return Blocks(slot, count, width, mask)
 
 
 class EncoderLayer:
@@ -65,33 +87,34 @@ class EncoderLayer:
         self.ln2_gamma = ones_param((channels,))
         self.ln2_beta = zeros_param((channels,))
 
-    def project_qkv(self, feats: Tensor) -> list[tuple[Tensor, Tensor, Tensor]]:
-        """Per-head (q, k, v) slices of the joint projection."""
-        if feats.data.shape[1] != self.channels:
-            raise ConfigError(
-                f"feature width {feats.data.shape[1]} does not match layer channels {self.channels}"
-            )
-        qkv = matmul(feats, self.w_qkv)
-        c, d = self.channels, self.head_dim
-        out = []
-        for h in range(self.heads):
-            q = slice_cols(qkv, h * d, (h + 1) * d)
-            k = slice_cols(qkv, c + h * d, c + (h + 1) * d)
-            v = slice_cols(qkv, 2 * c + h * d, 2 * c + (h + 1) * d)
-            out.append((q, k, v))
-        return out
+    def multi_head(self, feats: Tensor, record: list | None = None, blocks: Blocks | None = None) -> Tensor:
+        """Attention over the (N, C) rows, within each of ``blocks`` (one
+        block of all rows when None). ``record`` gets one (N, N) matrix per
+        head, zero between rows of different blocks."""
+        n, c = feats.data.shape
+        if c != self.channels:
+            raise ConfigError(f"feature width {c} does not match layer channels {self.channels}")
+        if blocks is None:
+            blocks = blocks_of(np.zeros(n, dtype=np.int64), self.heads)
+        heads, stacked = self.heads, self.heads * blocks.count
+        # (3*heads*count, width, d): all query blocks, then all key and value blocks
+        qkv = pack_rows(matmul(feats, self.w_qkv), blocks.slot, blocks.count, blocks.width, 3 * heads)
+        q, k, v = (slice_axis0(qkv, i * stacked, (i + 1) * stacked) for i in range(3))
+        scores = scale(matmul(q, transpose(k)), 1.0 / math.sqrt(self.head_dim))
+        if blocks.mask is not None:
+            scores = add(scores, blocks.mask)
+        a = softmax_rows(scores)
+        if record is not None:
+            block, pos = np.divmod(blocks.slot, blocks.width)
+            full = a.data.reshape(heads, blocks.count, blocks.width, blocks.width)[
+                :, block[:, None], pos[:, None], pos[None, :]
+            ]
+            full[:, block[:, None] != block[None, :]] = 0
+            record.extend(full)
+        return matmul(unpack_rows(matmul(a, v), blocks.slot, heads), self.w_out)
 
-    def multi_head(self, feats: Tensor, record: list | None = None, mask: Tensor | None = None) -> Tensor:
-        outputs = []
-        for q, k, v in self.project_qkv(feats):
-            a = attention_weights(q, k, mask)
-            if record is not None:
-                record.append(a.data.copy())
-            outputs.append(matmul(a, v))
-        return matmul(concat_cols(outputs), self.w_out)
-
-    def forward(self, feats: Tensor, record: list | None = None, mask: Tensor | None = None) -> Tensor:
-        g = layer_norm(add(self.multi_head(feats, record, mask), feats), self.ln1_gamma, self.ln1_beta)
+    def forward(self, feats: Tensor, record: list | None = None, blocks: Blocks | None = None) -> Tensor:
+        g = layer_norm(add(self.multi_head(feats, record, blocks), feats), self.ln1_gamma, self.ln1_beta)
         m = linear(relu(linear(g, self.mlp_w1, self.mlp_b1)), self.mlp_w2, self.mlp_b2)
         return layer_norm(add(m, g), self.ln2_gamma, self.ln2_beta)
 
@@ -116,14 +139,20 @@ class Encoder:
     def __init__(self, channels: int, heads: int, layers: int, rng: np.random.Generator):
         if layers < 1:
             raise ConfigError(f"encoder needs at least one layer, got {layers}")
+        self.heads = heads
         self.layers = [EncoderLayer(channels, heads, rng) for _ in range(layers)]
 
-    def forward(self, feats: Tensor, record: list | None = None, mask: Tensor | None = None) -> Tensor:
-        """Run the (N, C) rows through every layer. ``record`` collects one
-        (N, N) attention matrix per layer and head, in that order; ``mask``
-        is an additive (N, N) attention mask shared by all of them."""
+    def forward(self, feats: Tensor, record: list | None = None, video: np.ndarray | None = None) -> Tensor:
+        """Run the (N, C) rows through every layer. ``video`` gives each
+        row's video (all rows are one video when None); a row attends only
+        to rows of its own video. ``record`` collects one (N, N) attention
+        matrix per layer and head, in that order, exactly 0 between rows of
+        different videos."""
+        if video is None:
+            video = np.zeros(feats.data.shape[0], dtype=np.int64)
+        blocks = blocks_of(video, self.heads)
         for layer in self.layers:
-            feats = layer.forward(feats, record, mask)
+            feats = layer.forward(feats, record, blocks)
         return feats
 
     def parameters(self):

@@ -100,16 +100,23 @@ def check_point(fn, leaves, rng, tol: float, max_coords: int, perturb: float = 0
 # operation builders: return (leaves, fn) with fresh random inputs
 
 
+def _batch_axes(rng) -> tuple[int, ...]:
+    # none, one or two leading batch axes
+    return tuple(int(n) for n in rng.integers(1, 4, size=int(rng.integers(3))))
+
+
 def _build_matmul(rng):
-    a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-    proj = _projection(rng, (3, 2))
+    lead = _batch_axes(rng)
+    a = Tensor(rng.normal(size=lead + (3, 4)), requires_grad=True)
+    b = Tensor(rng.normal(size=lead + (4, 2)), requires_grad=True)
+    proj = _projection(rng, lead + (3, 2))
     return [a, b], lambda: _scalarize(matmul(a, b), proj)
 
 
 def _build_softmax(rng):
-    x = Tensor(rng.normal(size=(4, 5)) * 2.0, requires_grad=True)
-    proj = _projection(rng, (4, 5))
+    lead = _batch_axes(rng)
+    x = Tensor(rng.normal(size=lead + (4, 5)) * 2.0, requires_grad=True)
+    proj = _projection(rng, lead + (4, 5))
     return [x], lambda: _scalarize(softmax_rows(x), proj)
 
 

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -73,32 +73,68 @@ class RoiFootprint:
                 yield w, h
 
 
+class _RowView(Sequence):
+    """A read-only sequence whose item i is made from row i of some arrays
+    only when it is read."""
+
+    def __init__(self, make, rows: int):
+        self._make = make
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return self._rows
+
+    def __getitem__(self, i: int):
+        if not -self._rows <= i < self._rows:
+            raise IndexError(f"row {i} out of range for {self._rows} rows")
+        return self._make(i % self._rows)
+
+
 @dataclass(eq=False)
 class RoiFeatureSet:
-    """Pooled ROI features, row-aligned with their boxes and footprints."""
+    """Pooled ROI features, one row per kept box, with each box's frame,
+    clipped coordinates and covered cells as row-aligned arrays."""
 
     features: Tensor  # (N, C)
-    boxes: list[RoiBox]
-    footprints: list[RoiFootprint]
+    frame: np.ndarray  # (N,) int64 frame of the map the row was pooled from
+    coords: np.ndarray  # (N, 4) clipped normalized (x1, y1, x2, y2)
+    spans: np.ndarray  # (N, 4) int64 inclusive cell spans (w0, w1, h0, h1)
     dropped: int = 0  # boxes discarded as fully outside the image
 
     def __len__(self) -> int:
-        return len(self.boxes)
+        return self.frame.shape[0]
+
+    @property
+    def boxes(self) -> Sequence[RoiBox]:
+        """The kept boxes as ``RoiBox`` records (with the default entity
+        tag), each built when it is read."""
+        frame, coords = self.frame, self.coords
+        return _RowView(lambda i: RoiBox(int(frame[i]), *coords[i].tolist()), len(frame))
+
+    @property
+    def footprints(self) -> Sequence[RoiFootprint]:
+        """The kept boxes' footprints, each built when it is read."""
+        spans = self.spans
+        return _RowView(lambda i: RoiFootprint(*spans[i].tolist()), len(spans))
 
 
 def _clip(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # (N, 4) normalized (x1, x2, y1, y2) rows clipped to the unit square,
+    # (N, 4) normalized (x1, y1, x2, y2) rows clipped to the unit square,
     # and which rows keep some area
     clipped = np.clip(coords, 0.0, 1.0)
-    return clipped, (clipped[:, 1] - clipped[:, 0] > 0.0) & (clipped[:, 3] - clipped[:, 2] > 0.0)
+    return clipped, (clipped[:, 2] - clipped[:, 0] > 0.0) & (clipped[:, 3] - clipped[:, 1] > 0.0)
+
+
+def _corners(box: RoiBox) -> np.ndarray:
+    return np.array([(box.x1, box.y1, box.x2, box.y2)])
 
 
 def clip_box(box: RoiBox) -> RoiBox | None:
     """Clip to the unit square; None if no area remains."""
-    clipped, keep = _clip(np.array([(box.x1, box.x2, box.y1, box.y2)]))
+    clipped, keep = _clip(_corners(box))
     if not keep[0]:
         return None
-    x1, x2, y1, y2 = clipped[0].tolist()
+    x1, y1, x2, y2 = clipped[0].tolist()
     return replace(box, x1=x1, y1=y1, x2=x2, y2=y2)
 
 
@@ -109,19 +145,19 @@ def _spans(lo: np.ndarray, hi: np.ndarray, extent: int) -> tuple[np.ndarray, np.
     last = np.minimum(np.floor(hi - 0.5), extent - 1)
     nearest = np.clip(np.floor(0.5 * (lo + hi)), 0, extent - 1)
     empty = first > last
-    return np.where(empty, nearest, first).astype(np.int64), np.where(empty, nearest, last).astype(np.int64)
+    return np.where(empty, nearest, first), np.where(empty, nearest, last)
 
 
-def _footprints(coords: np.ndarray, w: int, h: int) -> list[RoiFootprint]:
-    # coords: (N, 4) normalized (x1, x2, y1, y2) rows
-    w0, w1 = _spans(coords[:, 0] * w, coords[:, 1] * w, w)
-    h0, h1 = _spans(coords[:, 2] * h, coords[:, 3] * h, h)
-    return [RoiFootprint(*s) for s in zip(w0.tolist(), w1.tolist(), h0.tolist(), h1.tolist())]
+def _cell_spans(coords: np.ndarray, w: int, h: int) -> np.ndarray:
+    # coords: (N, 4) normalized (x1, y1, x2, y2) rows; (N, 4) (w0, w1, h0, h1) spans
+    w0, w1 = _spans(coords[:, 0] * w, coords[:, 2] * w, w)
+    h0, h1 = _spans(coords[:, 1] * h, coords[:, 3] * h, h)
+    return np.stack([w0, w1, h0, h1], axis=1).astype(np.int64)
 
 
 def box_to_footprint(box: RoiBox, w: int, h: int) -> RoiFootprint:
     """Map a normalized box to the feature-map cells it covers."""
-    return _footprints(np.array([(box.x1, box.x2, box.y1, box.y2)]), w, h)[0]
+    return RoiFootprint(*_cell_spans(_corners(box), w, h)[0].tolist())
 
 
 def _axis_weights(lo: np.ndarray, hi: np.ndarray, extent: int, bins: int) -> np.ndarray:
@@ -132,19 +168,19 @@ def _axis_weights(lo: np.ndarray, hi: np.ndarray, extent: int, bins: int) -> np.
     the mean of its two samples' weights."""
     offsets = np.arange(bins)[:, None] + (np.arange(2) + 0.5) / 2.0  # (bins, 2)
     coords = lo[:, None, None] + offsets * ((hi - lo) / bins)[:, None, None]
-    u = np.clip(coords - 0.5, 0.0, extent - 1)
+    u = np.minimum(np.maximum(coords - 0.5, 0.0), extent - 1)
     i0 = np.minimum(np.floor(u), max(extent - 2, 0))
     frac = (u - i0)[..., None]
     cells = np.arange(extent)
     weights = (cells == i0[..., None]) * (1 - frac) + (cells == np.minimum(i0 + 1, extent - 1)[..., None]) * frac
-    return weights.mean(axis=2)
+    return (weights[:, :, 0] + weights[:, :, 1]) / 2
 
 
 def _box_weights(coords: np.ndarray, w: int, h: int, bins: int) -> tuple[np.ndarray, np.ndarray]:
     # bilinear weights are separable: bin (bx, by) of box n reads
     # sum_ij ax[n, bx, i] * ay[n, by, j] * map[i, j]
-    ax = _axis_weights(coords[:, 0] * w, coords[:, 1] * w, w, bins)
-    ay = _axis_weights(coords[:, 2] * h, coords[:, 3] * h, h, bins)
+    ax = _axis_weights(coords[:, 0] * w, coords[:, 2] * w, w, bins)
+    ay = _axis_weights(coords[:, 1] * h, coords[:, 3] * h, h, bins)
     return ax, ay
 
 
@@ -164,7 +200,7 @@ def roi_align(x_t: Tensor, box: RoiBox, out: int = 2) -> Tensor:
     if clipped is None:
         raise InvalidBoxError(f"box {box} has no area inside the image")
     dtype = x_t.data.dtype
-    ax, ay = _box_weights(np.array([(clipped.x1, clipped.x2, clipped.y1, clipped.y2)]), w, h, out)
+    ax, ay = _box_weights(_corners(clipped), w, h, out)
     ax, ay = ax[0].astype(dtype), ay[0].astype(dtype)  # (out, W), (out, H)
     result = np.einsum("bi,ijc,dj->bdc", ax, x_t.data, ay)
 
@@ -189,8 +225,8 @@ def extract_features(
     comes back addressed by its frame in ``x``.
 
     Boxes fully outside the image are dropped and counted; survivors are
-    ordered by frame of ``x`` (stable within a frame) and rows align 1:1
-    with the returned box list."""
+    ordered by frame of ``x`` (stable within a frame), and the set's frame,
+    clipped-coordinate and cell-span arrays align 1:1 with its rows."""
     if x.data.ndim != 4:
         raise DimensionError(f"extract_features expects a (T, W, H, C) map, got {x.data.shape}")
     total, w, h, c = x.data.shape
@@ -198,7 +234,8 @@ def extract_features(
     if not counts or sum(counts) != len(rois) or total % len(counts):
         raise ContractError(f"{len(rois)} boxes in runs {counts} do not split a map of {total} frames")
     frames = total // len(counts)
-    raw = np.array([(b.frame, b.x1, b.x2, b.y1, b.y2) for b in rois], dtype=np.float64).reshape(-1, 5)
+    # every RoiBox was validated when it was built, and clipping keeps it finite
+    raw = np.array([(b.frame, b.x1, b.y1, b.x2, b.y2) for b in rois], dtype=np.float64).reshape(-1, 5)
     outside = np.flatnonzero(raw[:, 0] >= frames)
     if outside.size:
         raise InvalidBoxError(f"box frame {rois[outside[0]].frame} outside video of {frames} frames")
@@ -207,16 +244,12 @@ def extract_features(
     order = np.flatnonzero(keep)
     order = order[np.argsort(frame[order], kind="stable")]
     frame, coords = frame[order], coords[order]
-    kept = [
-        RoiBox(f, x1, y1, x2, y2, rois[i].entity)
-        for i, f, (x1, x2, y1, y2) in zip(order.tolist(), frame.tolist(), coords.tolist())
-    ]
-    dropped = len(rois) - len(kept)
-    if not kept:
-        return RoiFeatureSet(Tensor(np.zeros((0, c))), [], [], dropped=dropped)
+    dropped = len(rois) - order.size
+    if not order.size:
+        return RoiFeatureSet(Tensor(np.zeros((0, c))), frame, coords, _cell_spans(coords, w, h), dropped)
 
     ax, ay = _box_weights(coords, w, h, pool_grid)
-    n, cells = len(kept), w * h
+    n, cells = order.size, w * h
     kernel = (ax.mean(axis=1)[:, :, None] * ay.mean(axis=1)[:, None, :]).reshape(n, cells).astype(x.data.dtype)
     pooled = np.matmul(kernel[:, None, :], x.data.reshape(total, cells, c)[frame])[:, 0]
 
@@ -237,7 +270,7 @@ def extract_features(
         _accumulate(x, gx, owned=True)
 
     features = Tensor._result(pooled, (x,), _bw)
-    return RoiFeatureSet(features, kept, _footprints(coords, w, h), dropped=dropped)
+    return RoiFeatureSet(features, frame, coords, _cell_spans(coords, w, h), dropped)
 
 
 def write_back(x: Tensor, fset: RoiFeatureSet) -> Tensor:
@@ -251,17 +284,16 @@ def write_back(x: Tensor, fset: RoiFeatureSet) -> Tensor:
     t, w, h, c = x.data.shape
     feats = fset.features
     n = feats.data.shape[0]
-    if n != len(fset.footprints) or n != len(fset.boxes):
+    if fset.frame.shape != (n,) or fset.spans.shape != (n, 4):
         raise ContractError(
-            f"feature rows ({n}) do not match footprints ({len(fset.footprints)})"
+            f"feature rows ({n}) do not match frames {fset.frame.shape} and spans {fset.spans.shape}"
         )
     if n == 0:
         return x
     if feats.data.shape[1] != c:
         raise DimensionError(f"feature width {feats.data.shape[1]} does not match map channels {c}")
-    frame, w0, w1, h0, h1 = np.array(
-        [(b.frame, fp.w0, fp.w1, fp.h0, fp.h1) for b, fp in zip(fset.boxes, fset.footprints)]
-    ).T
+    frame = fset.frame
+    w0, w1, h0, h1 = fset.spans.T
     if frame.max() >= t:
         raise InvalidBoxError(f"box frame {frame.max()} outside a map of {t} frames")
 

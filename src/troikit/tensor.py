@@ -199,7 +199,7 @@ def add(a, b) -> Tensor:
         # bias vector over matrix rows, the one permitted broadcast
         def _bw(g):
             _accumulate(a, g)
-            _accumulate(b, g.sum(axis=0))
+            _accumulate(b, g.sum(axis=0), owned=True)
 
     else:
         raise DimensionError(f"add: incompatible shapes {a.data.shape} and {b.data.shape}")
@@ -226,7 +226,7 @@ def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
 
     def _bw(g):
-        _accumulate(a, g * c)
+        _accumulate(a, g * c, owned=True)
 
     return Tensor._result(a.data * c, (a,), _bw)
 
@@ -253,14 +253,15 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def transpose(a: Tensor) -> Tensor:
+    """Swap the last two axes; any leading axes are batch axes."""
     a = _as_tensor(a)
-    if a.data.ndim != 2:
-        raise DimensionError(f"transpose expects a matrix, got shape {a.data.shape}")
+    if a.data.ndim < 2:
+        raise DimensionError(f"transpose expects a matrix or a stack of them, got shape {a.data.shape}")
 
     def _bw(g):
-        _accumulate(a, g.T)
+        _accumulate(a, g.swapaxes(-1, -2))
 
-    return Tensor._result(a.data.T, (a,), _bw)
+    return Tensor._result(a.data.swapaxes(-1, -2), (a,), _bw)
 
 
 def slice_axis0(a: Tensor, start: int, stop: int) -> Tensor:
@@ -277,23 +278,6 @@ def slice_axis0(a: Tensor, start: int, stop: int) -> Tensor:
         a.grad[start:stop] += g
 
     return Tensor._result(a.data[start:stop], (a,), _bw)
-
-
-def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    a = _as_tensor(a)
-    if a.data.ndim != 2:
-        raise DimensionError(f"slice_cols expects a matrix, got shape {a.data.shape}")
-    if not (0 <= start < stop <= a.data.shape[1]):
-        raise DimensionError(f"column slice [{start}:{stop}] out of range for shape {a.data.shape}")
-
-    def _bw(g):
-        if not a.requires_grad:
-            return
-        if a.grad is None:
-            a.grad = np.zeros_like(a.data)
-        a.grad[:, start:stop] += g
-
-    return Tensor._result(a.data[:, start:stop], (a,), _bw)
 
 
 def concat_axis0(parts: Sequence[Tensor]) -> Tensor:
@@ -407,15 +391,19 @@ def reduce_max(a: Tensor, axis: int) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product of (..., n, k) by (..., k, m); both operands must
+    have the same leading batch axes."""
     a = _as_tensor(a)
     b = _as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
+    if a.data.ndim < 2 or a.data.shape[:-2] != b.data.shape[:-2] or a.data.shape[-1:] != b.data.shape[-2:-1]:
         raise DimensionError(f"matmul: cannot multiply {a.data.shape} by {b.data.shape}")
     out = a.data @ b.data
 
     def _bw(g):
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
+        if a.requires_grad:
+            _accumulate(a, g @ b.data.swapaxes(-1, -2), owned=True)
+        if b.requires_grad:
+            _accumulate(b, a.data.swapaxes(-1, -2) @ g, owned=True)
 
     return Tensor._result(out, (a, b), _bw)
 
@@ -426,19 +414,63 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
 
 def softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise softmax with row-max subtraction for stability."""
+    """Softmax along the last axis with row-max subtraction for stability;
+    any leading axes are batch axes. A -inf entry gets weight exactly 0."""
     x = _as_tensor(x)
-    if x.data.ndim != 2:
-        raise DimensionError(f"softmax_rows expects a matrix, got shape {x.data.shape}")
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=1, keepdims=True)
+    if x.data.ndim < 2:
+        raise DimensionError(f"softmax_rows expects a matrix or a stack of them, got shape {x.data.shape}")
+    # numpy reduces a short last axis one row at a time; with that axis
+    # moved first, one pass takes the maximum of every row at once
+    peak = np.ascontiguousarray(np.moveaxis(x.data, -1, 0)).max(axis=0)
+    s = x.data - peak[..., None]
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
 
     def _bw(g):
-        dot = (g * s).sum(axis=1, keepdims=True)
-        _accumulate(x, s * (g - dot))
+        gx = g - (g * s).sum(axis=-1, keepdims=True)
+        gx *= s
+        _accumulate(x, gx, owned=True)
 
     return Tensor._result(s, (x,), _bw)
+
+
+def pack_rows(a: Tensor, slot: np.ndarray, blocks: int, width: int, heads: int = 1) -> Tensor:
+    """Scatter the rows of an (N, heads*d) matrix into zero-padded
+    (heads*blocks, width, d) blocks. ``slot[n]`` is row n's position in the
+    flattened (blocks, width) grid; no two rows may share one. Head h of
+    row n lands in block h*blocks + slot[n] // width, at row slot[n] % width,
+    so the heads ride in the leading (batch) axis."""
+    a = _as_tensor(a)
+    if a.data.ndim != 2 or slot.shape != a.data.shape[:1] or a.data.shape[1] % heads:
+        raise DimensionError(f"pack_rows: {slot.shape} slots or {heads} heads do not fit rows of shape {a.data.shape}")
+    n, cols = a.data.shape
+    d = cols // heads
+    out = np.zeros((heads, blocks * width, d), dtype=a.data.dtype)
+    out[:, slot] = a.data.reshape(n, heads, d).swapaxes(0, 1)
+
+    def _bw(g):
+        _accumulate(a, g.reshape(heads, blocks * width, d)[:, slot].swapaxes(0, 1).reshape(n, cols), owned=True)
+
+    return Tensor._result(out.reshape(heads * blocks, width, d), (a,), _bw)
+
+
+def unpack_rows(a: Tensor, slot: np.ndarray, heads: int = 1) -> Tensor:
+    """Inverse of ``pack_rows``: gather the (N, heads*d) rows at ``slot``
+    back out of (heads*blocks, width, d) blocks. Padding rows are dropped
+    and get a zero gradient."""
+    a = _as_tensor(a)
+    if a.data.ndim != 3 or a.data.shape[0] % heads:
+        raise DimensionError(f"unpack_rows expects (heads*blocks, width, d) blocks, got shape {a.data.shape}")
+    stacked, width, d = a.data.shape
+    n = slot.shape[0]
+    out = a.data.reshape(heads, -1, d)[:, slot].swapaxes(0, 1).reshape(n, heads * d)
+
+    def _bw(g):
+        ga = np.zeros((heads, stacked // heads * width, d), dtype=g.dtype)
+        ga[:, slot] = g.reshape(n, heads, d).swapaxes(0, 1)
+        _accumulate(a, ga.reshape(a.data.shape), owned=True)
+
+    return Tensor._result(out, (a,), _bw)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -463,12 +495,12 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     out = y * gamma.data + beta.data
 
     def _bw(g):
-        _accumulate(beta, g.sum(axis=0))
-        _accumulate(gamma, (g * y).sum(axis=0))
+        _accumulate(beta, g.sum(axis=0), owned=True)
+        _accumulate(gamma, (g * y).sum(axis=0), owned=True)
         dy = g * gamma.data
         m1 = dy.mean(axis=1, keepdims=True)
         m2 = (dy * y).mean(axis=1, keepdims=True)
-        _accumulate(x, inv * (dy - m1 - y * m2))
+        _accumulate(x, inv * (dy - m1 - y * m2), owned=True)
 
     return Tensor._result(out, (x, gamma, beta), _bw)
 

@@ -92,7 +92,8 @@ def evaluate(
     batch_size: int = 32,
 ) -> dict:
     """Top-1 / top-k plus a per-class breakdown. Argmax ties go to the
-    lowest index, so the result is deterministic."""
+    lowest index, so the result is deterministic. A non-finite logit has
+    no rank, so it raises ``NumericError`` instead of being scored."""
     if not videos:
         raise ContractError("evaluate needs a non-empty dataset")
     if k < 1 or batch_size < 1:
@@ -106,6 +107,9 @@ def evaluate(
         for idx in _batches(len(videos), batch_size, order):
             logits, labels = _forward_batch(model, videos, idx, corrupt)
             scores = logits.data
+            finite = np.isfinite(scores).all(axis=1)
+            if not finite.all():
+                raise NumericError(f"non-finite logit for video {idx[np.argmin(finite)]} of the evaluated set")
             pred = scores.argmax(axis=1)
             ranked = np.argsort(-scores, axis=1, kind="stable")[:, :k]
             for row, label in enumerate(labels):

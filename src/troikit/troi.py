@@ -74,15 +74,14 @@ class TroiModule:
         box lists run together: ``per_video[v]`` boxes for video v, each
         with its frame counted from that video's first frame.
 
-        All ROI rows pass through the encoder as one (N, C) block. An
-        additive block-diagonal mask (0 within a video, -inf across
-        videos) keeps each row attending to rows of its own video only,
-        so every video comes out as it would alone. With
-        ``record_attention`` the encoder appends one (N, N) matrix per
-        layer and head, layer-major: rows and columns are the ROI rows in
-        order of their frame in the block (stable within a frame), then,
-        with scene tokens, one row per frame of the block. Entries between
-        two videos are exactly 0, and every row sums to 1.
+        The row-wise layers see all ROI rows as one (N, C) block; the
+        attention core relates each video's rows among themselves only, so
+        every video comes out as it would alone. With ``record_attention``
+        the encoder appends one (N, N) matrix per layer and head,
+        layer-major: rows and columns are the ROI rows in order of their
+        frame in the block (stable within a frame), then, with scene tokens,
+        one row per frame of the block. Entries between two videos are
+        exactly 0, and every row sums to 1.
 
         Returns ``x`` itself when no box survives clipping."""
         if not rois:
@@ -93,27 +92,23 @@ class TroiModule:
             return x  # every box fell outside the image
         videos = 1 if per_video is None else len(per_video)
         frames = x.data.shape[0] // videos
-        video = np.array([box.frame for box in fset.boxes]) // frames  # rows are grouped by video
+        video = fset.frame // frames  # rows are grouped by video
         # positions count from 0 in each video: global ranks minus the video's first row
-        ranks = np.asarray(order_rois(fset.boxes, self.config.ordering))
-        positions = (ranks - np.searchsorted(video, video)).tolist()
+        positions = order_rois(fset.frame, fset.coords, self.config.ordering) - np.searchsorted(video, video)
         if self.config.scene_token:
             # video v's scene rows take positions n_v..n_v+T-1, after its n_v ROI rows
             rows = np.bincount(video, minlength=videos)
-            positions = positions + (np.repeat(rows, frames) + np.tile(np.arange(frames), videos)).tolist()
+            positions = np.concatenate([positions, np.repeat(rows, frames) + np.tile(np.arange(frames), videos)])
             video = np.concatenate([video, np.repeat(np.arange(videos), frames)])
 
         enc = encoding_matrix(positions, self.channels)
         feats = add(fset.features, Tensor(enc[:n]))
         if self.coord is not None:
-            feats = add(feats, self.coord.encode(fset.boxes))
+            feats = add(feats, self.coord.encode(fset.coords))
         if self.config.scene_token:
             feats = concat_axis0([feats, add(scene_tokens(x), Tensor(enc[n:]))])
-        mask = None
-        if video.min() != video.max():
-            mask = Tensor(np.where(video[:, None] == video[None, :], 0.0, -np.inf))
 
-        feats = self.encoder.forward(feats, record_attention, mask)
+        feats = self.encoder.forward(feats, record_attention, video)
         if feats.data.shape[0] != n:
             feats = slice_axis0(feats, 0, n)  # scene rows are never written back
         return write_back(x, replace(fset, features=feats))

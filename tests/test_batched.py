@@ -55,6 +55,20 @@ def test_batch_matches_each_video_alone(rng, variant):
             assert np.abs(batched[v] - alone).max() <= 1e-12
 
 
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_uneven_blocks_match_each_video_alone(rng, variant):
+    # the attention blocks pad to the longest video: video 0 fills its
+    # block, video 1 has a single row, video 2 has none and gets no block
+    with precision("f64"):
+        model = VideoClassifier(SPEC, VARIANTS[variant], seed=3)
+        videos = rng.uniform(size=(3, FRAMES, 32, 32, 3))
+        rois = [[random_box(rng, t % FRAMES) for t in range(7)], [random_box(rng, 2)], []]
+        batched = model.forward_batch(Tensor(videos), rois).data
+        for v in range(3):
+            alone = model.forward(Tensor(videos[v]), rois[v]).data
+            assert np.abs(batched[v] - alone).max() <= 1e-12
+
+
 def test_box_past_its_video_is_rejected(rng):
     model = VideoClassifier(SPEC, TroiConfig(), seed=3)
     videos = Tensor(rng.uniform(size=(3, FRAMES, 32, 32, 3)))

@@ -191,6 +191,19 @@ class TestTrain:
         ) == 4
         assert "non-finite training loss" in capsys.readouterr().err
 
+    def test_overflowed_update_exits_4_without_logging_the_epoch(self, tiny_data, tmp_path, capsys):
+        ckpt = tmp_path / "overflow.ckpt"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(
+                ["train", "--data", str(tiny_data / "train"), "--val-data", str(tiny_data / "val"),
+                 "--out", str(ckpt), "--epochs", "1", "--batch-size", "12", "--lr", "1e30",
+                 "--channels", "4,6,8,8"]
+            )
+        assert code == 4
+        assert "non-finite logit" in capsys.readouterr().err
+        assert not ckpt.exists()
+        assert Path(str(ckpt) + ".log").read_text() == ""
+
     def test_malformed_manifest_exits_3(self, tiny_data, tmp_path, capsys):
         bad = tmp_path / "bad-data"
         save_dataset(bad, load_dataset(tiny_data / "train"))
@@ -246,6 +259,12 @@ class TestEval:
     def test_invalid_corrupt_mode(self, tiny_data, trained):
         assert main(["eval", "--data", str(tiny_data / "val"), "--checkpoint", str(trained),
                      "--corrupt", "smear"]) == 2
+
+    def test_non_finite_logits_exit_4(self, nan_data, trained, capsys):
+        # video 0 of nan_data has NaN frames, so its logits are NaN
+        assert main(["eval", "--data", str(nan_data), "--checkpoint", str(trained)]) == 4
+        captured = capsys.readouterr()
+        assert "non-finite logit for video 0" in captured.err and "top1=" not in captured.out
 
     @pytest.mark.parametrize("flag, value", [("--batch-size", "0"), ("--topk", "0"), ("--topk", "-1")])
     def test_nonpositive_topk_or_batch_size_exits_2(self, tiny_data, trained, capsys, flag, value):

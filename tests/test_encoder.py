@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from troikit.encoder import Encoder, EncoderLayer, attention_weights
+from troikit.encoder import Encoder, EncoderLayer, blocks_of
 from troikit.errors import ConfigError
 from troikit.tensor import (
     Tensor,
@@ -43,30 +43,41 @@ def mha_reference(feats, layer):
     return np.concatenate(heads, axis=1) @ layer.w_out.data
 
 
+def recorded(layer, feats):
+    """The per-head attention matrices of one single-video pass."""
+    record = []
+    layer.multi_head(Tensor(feats), record)
+    return record
+
+
 class TestProjections:
     def test_zero_weights(self, rng):
+        # q = k = v = 0: every row attends evenly and every head returns 0
         layer = EncoderLayer(8, 2, rng)
         layer.w_qkv.data = np.zeros_like(layer.w_qkv.data)
-        for q, k, v in layer.project_qkv(Tensor(rng.normal(size=(3, 8)))):
-            assert not q.data.any() and not k.data.any() and not v.data.any()
+        record = []
+        out = layer.multi_head(Tensor(rng.normal(size=(3, 8))), record)
+        assert not out.data.any()
+        assert all(np.allclose(a, 1.0 / 3, atol=1e-7) for a in record)
 
     def test_identity_projection_single_head(self, rng):
         layer = EncoderLayer(4, 1, rng)
         w = np.zeros((4, 12))
         w[:, :4] = np.eye(4)  # query block is the identity
+        w[:, 4:8] = np.eye(4)  # and so is the key block
         layer.w_qkv.data = w
         feats = rng.normal(size=(3, 4)).astype(np.float32)
-        ((q, k, v),) = layer.project_qkv(Tensor(feats))
-        assert np.allclose(q.data, feats, atol=1e-6)
+        (a,) = recorded(layer, feats)
+        assert np.allclose(a, oracles.softmax_loops(feats @ feats.T / 2.0), atol=1e-6)
 
     def test_matches_matmul_oracle(self, rng):
         with precision("f64"):
             layer = EncoderLayer(8, 2, rng)
             feats = rng.normal(size=(5, 8))
             qkv = oracles.matmul_loops(feats, layer.w_qkv.data)
-            for h, (q, k, v) in enumerate(layer.project_qkv(Tensor(feats))):
-                assert np.allclose(q.data, qkv[:, h * 4 : (h + 1) * 4], atol=1e-12)
-                assert np.allclose(v.data, qkv[:, 16 + h * 4 : 16 + (h + 1) * 4], atol=1e-12)
+            for h, a in enumerate(recorded(layer, feats)):
+                q, k = qkv[:, h * 4 : (h + 1) * 4], qkv[:, 8 + h * 4 : 8 + (h + 1) * 4]
+                assert np.allclose(a, oracles.softmax_loops(q @ k.T / 2.0), atol=1e-12)
 
     def test_head_divisibility(self, rng):
         with pytest.raises(ConfigError):
@@ -75,27 +86,68 @@ class TestProjections:
 
 class TestAttention:
     def test_single_roi(self, rng):
-        a = attention_weights(Tensor(rng.normal(size=(1, 4))), Tensor(rng.normal(size=(1, 4))))
-        assert np.allclose(a.data, [[1.0]])
+        for a in recorded(EncoderLayer(8, 2, rng), rng.normal(size=(1, 8))):
+            assert np.allclose(a, [[1.0]])
 
     def test_identical_rows_split_evenly(self, rng):
-        row = rng.normal(size=4)
-        q = Tensor(np.stack([row, row]))
-        a = attention_weights(q, q)
-        assert np.allclose(a.data, 0.5, atol=1e-6)
+        row = rng.normal(size=8)
+        for a in recorded(EncoderLayer(8, 2, rng), np.stack([row, row])):
+            assert np.allclose(a, 0.5, atol=1e-6)
 
     def test_matches_brute_force(self, rng):
+        # two videos: each block is the softmax of its own scores, 0 across
         with precision("f64"):
-            q = rng.normal(size=(3, 4))
-            k = rng.normal(size=(3, 4))
-            a = attention_weights(Tensor(q), Tensor(k))
-            ref = oracles.softmax_loops(q @ k.T / math.sqrt(4))
-            assert np.allclose(a.data, ref, atol=1e-6)
+            layer = EncoderLayer(8, 2, rng)
+            feats = rng.normal(size=(5, 8))
+            video = np.array([0, 1, 0, 1, 1])
+            record = []
+            layer.multi_head(Tensor(feats), record, blocks_of(video, 2))
+            qkv = feats @ layer.w_qkv.data
+            for h, a in enumerate(record):
+                q, k = qkv[:, h * 4 : (h + 1) * 4], qkv[:, 8 + h * 4 : 8 + (h + 1) * 4]
+                for v in (0, 1):
+                    rows = np.flatnonzero(video == v)
+                    ref = oracles.softmax_loops(q[rows] @ k[rows].T / 2.0)
+                    assert np.allclose(a[np.ix_(rows, rows)], ref, atol=1e-12)
+                assert np.all(a[video[:, None] != video[None, :]] == 0)
 
     def test_rows_sum_to_one(self, rng):
-        q = Tensor(rng.normal(size=(6, 8)) * 5)
-        k = Tensor(rng.normal(size=(6, 8)) * 5)
-        assert np.allclose(attention_weights(q, k).data.sum(axis=1), 1.0, atol=1e-6)
+        for a in recorded(EncoderLayer(8, 2, rng), rng.normal(size=(6, 8)) * 5):
+            assert np.allclose(a.sum(axis=1), 1.0, atol=1e-6)
+
+
+class TestBlocks:
+    def test_slots_keep_row_order_within_each_video(self):
+        blocks = blocks_of(np.array([2, 0, 2, 5, 0, 2]), 2)
+        assert (blocks.count, blocks.width) == (3, 3)
+        # video 0 is block 0, video 2 block 1, video 5 block 2
+        assert blocks.slot.tolist() == [3, 0, 4, 6, 1, 5]
+        # every query row of a block masks the same keys, for both heads
+        padded = np.isinf(blocks.mask.data)
+        assert padded.shape == (6, 3, 3)
+        assert np.array_equal(padded[:, 0], np.tile([[0, 0, 1], [0, 0, 0], [0, 1, 1]], (2, 1)))
+        assert np.all(padded == padded[:, :1])
+
+    def test_equal_blocks_need_no_mask(self):
+        blocks = blocks_of(np.array([1, 1, 4, 4]), 2)
+        assert blocks.mask is None and blocks.slot.tolist() == [0, 1, 2, 3]
+
+    def test_each_video_attends_as_it_would_alone(self, rng):
+        with precision("f64"):
+            enc = Encoder(8, heads=2, layers=2, rng=rng)
+            video = np.array([1, 0, 1, 1, 3, 0, 1])
+            feats = rng.normal(size=(7, 8))
+            record = []
+            out = enc.forward(Tensor(feats), record, video)
+            for v in np.unique(video):
+                rows = np.flatnonzero(video == v)
+                alone = []
+                ref = enc.forward(Tensor(feats[rows]), alone).data
+                assert np.abs(out.data[rows] - ref).max() <= 1e-12
+                for a, b in zip(record, alone):
+                    assert np.abs(a[np.ix_(rows, rows)] - b).max() <= 1e-12
+            for a in record:
+                assert np.all(a[video[:, None] != video[None, :]] == 0)
 
 
 class TestSelfAttentionAndMHA:
@@ -104,7 +156,7 @@ class TestSelfAttentionAndMHA:
         with precision("f64"):
             layer = EncoderLayer(8, 2, rng)
             feats = Tensor(rng.normal(size=(1, 8)))
-            values = np.concatenate([v.data for _, _, v in layer.project_qkv(feats)], axis=1)
+            values = feats.data @ layer.w_qkv.data[:, 16:]
             out = layer.multi_head(feats)
             assert np.allclose(out.data, values @ layer.w_out.data, atol=1e-12)
 

@@ -3,20 +3,26 @@ import pytest
 
 from troikit.errors import ConfigError
 from troikit.gradcheck import ALL_OPS, DEFAULT_TOL, check_point, format_report, run_checks
-from troikit.rois import RoiBox, RoiFeatureSet, box_to_footprint, write_back
+from troikit.rois import RoiBox, write_back
 from troikit.tensor import (
     Tensor,
     add,
     concat_axis0,
     concat_cols,
     cross_entropy,
+    matmul,
     mul,
+    pack_rows,
     precision,
     reduce_max,
     reduce_sum,
     slice_axis0,
-    slice_cols,
+    softmax_rows,
+    transpose,
+    unpack_rows,
 )
+
+from test_rois import make_set
 
 
 def test_registry_covers_every_differentiable_surface():
@@ -102,13 +108,6 @@ def _build_slice_axis0(rng):
     return [a], lambda: add(*(reduce_sum(mul(slice_axis0(a, *span), p)) for span, p in zip(spans, projs)))
 
 
-def _build_slice_cols(rng):
-    a = Tensor(rng.normal(size=(3, 6)), requires_grad=True)
-    spans = _two_slices(rng, 6)
-    projs = [Tensor(rng.normal(size=(3, stop - start))) for start, stop in spans]
-    return [a], lambda: add(*(reduce_sum(mul(slice_cols(a, *span), p)) for span, p in zip(spans, projs)))
-
-
 def _build_concat_axis0(rng):
     parts = [Tensor(rng.normal(size=(n, 3)), requires_grad=True) for n in (2, 1, 3)]
     proj = Tensor(rng.normal(size=(6, 3)))
@@ -131,16 +130,50 @@ def _build_write_back_overlapping(rng):
         RoiBox(1, 0.2, 0.2, 0.8, 0.8),  # the same footprint twice
     ]
     feats = Tensor(rng.normal(size=(len(boxes), 3)), requires_grad=True)
-    fset = RoiFeatureSet(feats, boxes, [box_to_footprint(b, 5, 5) for b in boxes])
+    fset = make_set(feats, boxes, 5, 5)
     proj = Tensor(rng.normal(size=x.shape))
     return [x, feats], lambda: reduce_sum(mul(write_back(x, fset), proj))
 
 
+def _build_matmul_batched(rng):
+    a = Tensor(rng.normal(size=(2, 3, 3, 4)), requires_grad=True)
+    b = Tensor(rng.normal(size=(2, 3, 4, 2)), requires_grad=True)
+    proj = Tensor(rng.normal(size=(2, 3, 3, 2)))
+    return [a, b], lambda: reduce_sum(mul(matmul(a, b), proj))
+
+
+def _build_transpose_batched(rng):
+    a = Tensor(rng.normal(size=(3, 2, 4)), requires_grad=True)
+    b = Tensor(rng.normal(size=(3, 2, 5)), requires_grad=True)
+    proj = Tensor(rng.normal(size=(3, 4, 5)))
+    # a product so the transposed layout matters to the gradient
+    return [a, b], lambda: reduce_sum(mul(matmul(transpose(a), b), proj))
+
+
+def _build_softmax_batched(rng):
+    x = Tensor(rng.normal(size=(3, 2, 4, 5)) * 2.0, requires_grad=True)
+    proj = Tensor(rng.normal(size=(3, 2, 4, 5)))
+    return [x], lambda: reduce_sum(mul(softmax_rows(x), proj))
+
+
+def _build_pack_unpack_rows(rng):
+    # 5 rows of 2 heads into 3 blocks of width 3 with 4 padding slots; the
+    # packed blocks are mixed before unpacking, so padding and heads both count
+    x = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+    slot = rng.permutation(9)[:5]
+    mix = Tensor(rng.normal(size=(6, 3, 3)), requires_grad=True)
+    proj = Tensor(rng.normal(size=(5, 4)))
+    return [x, mix], lambda: reduce_sum(mul(unpack_rows(matmul(mix, pack_rows(x, slot, 3, 3, 2)), slot, 2), proj))
+
+
 UNIT_BUILDERS = {
+    "matmul_batched": _build_matmul_batched,
+    "transpose_batched": _build_transpose_batched,
+    "softmax_batched": _build_softmax_batched,
+    "pack_unpack_rows": _build_pack_unpack_rows,
     "reduce_max": _build_reduce_max,
     "cross_entropy_batched": _build_cross_entropy_batched,
     "slice_axis0": _build_slice_axis0,
-    "slice_cols": _build_slice_cols,
     "concat_axis0": _build_concat_axis0,
     "concat_cols": _build_concat_cols,
     "write_back_overlapping": _build_write_back_overlapping,

@@ -9,6 +9,11 @@ from troikit.rois import RoiBox
 from troikit.tensor import precision
 
 import oracles
+from test_rois import box_arrays
+
+
+def ranks(rois, direction="left-right"):
+    return order_rois(*box_arrays(rois), direction).tolist()
 
 
 def boxes_strategy():
@@ -25,38 +30,38 @@ def boxes_strategy():
 class TestOrdering:
     def test_one_roi_per_frame(self):
         rois = [RoiBox(2, 0.1, 0.1, 0.3, 0.3), RoiBox(0, 0.5, 0.5, 0.7, 0.7), RoiBox(1, 0.2, 0.2, 0.4, 0.4)]
-        assert order_rois(rois) == [2, 0, 1]
+        assert ranks(rois) == [2, 0, 1]
 
     def test_left_to_right_within_frame(self):
         rois = [RoiBox(0, 0.7, 0.1, 0.9, 0.3), RoiBox(0, 0.1, 0.1, 0.3, 0.3)]
-        assert order_rois(rois) == [1, 0]
+        assert ranks(rois) == [1, 0]
 
     def test_right_to_left_flag(self):
         rois = [RoiBox(0, 0.7, 0.1, 0.9, 0.3), RoiBox(0, 0.1, 0.1, 0.3, 0.3)]
-        assert order_rois(rois, "right-left") == [0, 1]
+        assert ranks(rois, "right-left") == [0, 1]
 
     def test_duplicate_boxes_keep_input_order(self):
         box = RoiBox(0, 0.2, 0.2, 0.4, 0.4)
-        assert order_rois([box, box, box]) == [0, 1, 2]
+        assert ranks([box, box, box]) == [0, 1, 2]
 
     def test_y_breaks_x_ties(self):
         rois = [RoiBox(0, 0.2, 0.8, 0.4, 0.9), RoiBox(0, 0.2, 0.1, 0.4, 0.3)]
-        assert order_rois(rois) == [1, 0]
+        assert ranks(rois) == [1, 0]
 
     def test_unknown_direction(self):
         with pytest.raises(ConfigError):
-            order_rois([], "top-down")
+            ranks([], "top-down")
 
     @given(boxes_strategy(), st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
     def test_positions_are_permutation_and_stable_under_shuffle(self, rois, rand):
-        positions = order_rois(rois)
+        positions = ranks(rois)
         assert sorted(positions) == list(range(len(rois)))
         # same box keeps its rank when distinct boxes are shuffled
         if len({(b.frame, b.x1, b.y1) for b in rois}) == len(rois):
             shuffled = list(enumerate(rois))
             rand.shuffle(shuffled)
-            back = order_rois([b for _, b in shuffled])
+            back = ranks([b for _, b in shuffled])
             for (orig_idx, _), rank in zip(shuffled, back):
                 assert rank == positions[orig_idx]
 
@@ -64,7 +69,7 @@ class TestOrdering:
     @settings(max_examples=30, deadline=None)
     def test_both_directions_are_permutations(self, rois):
         for direction in ("left-right", "right-left"):
-            assert sorted(order_rois(rois, direction)) == list(range(len(rois)))
+            assert sorted(ranks(rois, direction)) == list(range(len(rois)))
 
 
 class TestSinusoid:
@@ -108,19 +113,18 @@ class TestCoordEncoder:
         enc = CoordEncoder(8, rng)
         for w in enc.weights:
             w.data = np.zeros_like(w.data)
-        out = enc.encode([RoiBox(0, 0.1, 0.2, 0.5, 0.6)])
+        out = enc.encode(np.array([(0.1, 0.2, 0.5, 0.6)]))
         assert np.array_equal(out.data, np.zeros((1, 8)))
 
     def test_identical_boxes_identical_encodings(self, rng):
         enc = CoordEncoder(8, rng)
-        box = RoiBox(0, 0.1, 0.2, 0.5, 0.6)
-        out = enc.encode([box, box])
+        out = enc.encode(np.array([(0.1, 0.2, 0.5, 0.6)] * 2))
         assert np.array_equal(out.data[0], out.data[1])
 
     def test_distinct_boxes_distinct_encodings(self, rng):
         with precision("f64"):
             enc = CoordEncoder(16, rng)
-            out = enc.encode([RoiBox(0, 0.1, 0.2, 0.5, 0.6), RoiBox(0, 0.3, 0.1, 0.9, 0.4)])
+            out = enc.encode(np.array([(0.1, 0.2, 0.5, 0.6), (0.3, 0.1, 0.9, 0.4)]))
             assert not np.allclose(out.data[0], out.data[1])
 
     def test_channel_divisibility(self, rng):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -19,6 +20,19 @@ from troikit.rois import (
 from troikit.tensor import Tensor, backward, mul, precision, reduce_sum
 
 import oracles
+
+
+def box_arrays(boxes):
+    """(N,) frames and (N, 4) (x1, y1, x2, y2) coordinates of a box list."""
+    frame = np.array([b.frame for b in boxes], dtype=np.int64)
+    return frame, np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes], dtype=np.float64).reshape(-1, 4)
+
+
+def make_set(features, boxes, w, h):
+    """A feature set over boxes that lie inside the image, in list order."""
+    frame, coords = box_arrays(boxes)
+    spans = np.array([astuple(box_to_footprint(b, w, h)) for b in boxes], dtype=np.int64).reshape(-1, 4)
+    return RoiFeatureSet(features, frame, coords, spans)
 
 
 def random_box(rng, frame=0, entity="object"):
@@ -219,16 +233,10 @@ class TestExtractFeatures:
                 assert abs(num - ana) / max(abs(num), abs(ana), 1e-4) < 1e-4
 
 
-def make_set(x, boxes, vectors):
-    feats = Tensor(np.asarray(vectors))
-    t, w, h, _ = x.data.shape
-    return RoiFeatureSet(feats, list(boxes), [box_to_footprint(b, w, h) for b in boxes])
-
-
 class TestWriteBack:
     def test_empty_set_is_noop(self):
         x = Tensor(np.arange(32, dtype=np.float32).reshape(1, 4, 4, 2))
-        fset = RoiFeatureSet(Tensor(np.zeros((0, 2))), [], [])
+        fset = make_set(Tensor(np.zeros((0, 2))), [], 4, 4)
         assert write_back(x, fset) is x
 
     def test_fixed_point_on_constant_map(self):
@@ -242,7 +250,7 @@ class TestWriteBack:
         x = Tensor(np.zeros((1, 4, 4, 2)))
         u, v = [1.0, 5.0], [3.0, 7.0]
         boxes = [RoiBox(0, 0.0, 0.0, 0.5, 0.5), RoiBox(0, 0.26, 0.26, 0.75, 0.75)]
-        out = write_back(x, make_set(x, boxes, [u, v]))
+        out = write_back(x, make_set(Tensor(np.asarray([u, v])), boxes, 4, 4))
         assert np.allclose(out.data[0, 1, 1], [2.0, 6.0])  # overlap cell
         assert np.allclose(out.data[0, 0, 0], u)
         assert np.allclose(out.data[0, 2, 2], v)
@@ -250,8 +258,8 @@ class TestWriteBack:
 
     def test_count_mismatch(self):
         x = Tensor(np.zeros((1, 4, 4, 2)))
-        fset = make_set(x, [RoiBox(0, 0.1, 0.1, 0.5, 0.5)], [[1.0, 2.0]])
-        fset.footprints = []
+        fset = make_set(Tensor(np.asarray([[1.0, 2.0]])), [RoiBox(0, 0.1, 0.1, 0.5, 0.5)], 4, 4)
+        fset.spans = fset.spans[:0]
         with pytest.raises(ContractError):
             write_back(x, fset)
 
@@ -270,10 +278,10 @@ class TestWriteBack:
         x = Tensor(rng.normal(size=(1, 5, 5, 3)))
         boxes = [RoiBox(0, 0.05, 0.05, 0.6, 0.6), RoiBox(0, 0.2, 0.2, 0.8, 0.8), RoiBox(0, 0.1, 0.3, 0.7, 0.9)]
         vectors = rng.normal(size=(3, 3))
-        base = write_back(x, make_set(x, boxes, vectors))
+        base = write_back(x, make_set(Tensor(vectors), boxes, 5, 5))
         for perm in ((2, 0, 1), (1, 2, 0), (2, 1, 0)):
             shuffled = write_back(
-                x, make_set(x, [boxes[i] for i in perm], vectors[list(perm)])
+                x, make_set(Tensor(vectors[list(perm)]), [boxes[i] for i in perm], 5, 5)
             )
             assert np.array_equal(base.data, shuffled.data)
 
@@ -282,13 +290,12 @@ class TestWriteBack:
             x = Tensor(rng.normal(size=(1, 4, 4, 2)))
             boxes = [RoiBox(0, 0.0, 0.0, 0.5, 0.5), RoiBox(0, 0.26, 0.26, 0.75, 0.75)]
             feats = Tensor(rng.normal(size=(2, 2)), requires_grad=True)
-            fset = make_set(x, boxes, np.zeros((2, 2)))
-            fset.features = feats
+            fset = make_set(feats, boxes, 4, 4)
             proj = Tensor(rng.normal(size=(1, 4, 4, 2)))
             backward(reduce_sum(mul(write_back(x, fset), proj)))
 
             def scalar():
-                fset2 = make_set(x, boxes, feats.data)
+                fset2 = make_set(Tensor(feats.data), boxes, 4, 4)
                 return float((write_back(x, fset2).data * proj.data).sum())
 
             for idx in range(feats.size):

@@ -21,6 +21,7 @@ from troikit.tensor import (
     max_pool2d,
     mul,
     no_grad,
+    pack_rows,
     precision,
     read_tensor,
     reduce_max,
@@ -29,6 +30,7 @@ from troikit.tensor import (
     relu,
     softmax_rows,
     transpose,
+    unpack_rows,
     write_tensor,
     zero_grad,
 )
@@ -77,6 +79,56 @@ class TestMatmul:
             backward(reduce_sum(matmul(a, b)))
             assert np.allclose(a.grad, np.tile(b.data.sum(axis=1), (3, 1)))
             assert np.allclose(b.grad, np.tile(a.data.sum(axis=0)[:, None], (1, 2)))
+
+
+class TestBatchedOps:
+    def test_matmul_is_one_product_per_leading_index(self, rng):
+        with precision("f64"):
+            a = rng.normal(size=(2, 3, 4, 5))
+            b = rng.normal(size=(2, 3, 5, 2))
+            out = matmul(Tensor(a), Tensor(b)).data
+            for i in range(2):
+                for j in range(3):
+                    assert np.allclose(out[i, j], oracles.matmul_loops(a[i, j], b[i, j]), atol=1e-12, rtol=0)
+
+    def test_matmul_needs_equal_leading_axes(self):
+        with pytest.raises(DimensionError, match=r"\(2, 3, 4\).*\(3, 4, 2\)"):
+            matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4, 2))))
+        with pytest.raises(DimensionError):
+            matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((4, 2))))
+
+    def test_transpose_swaps_the_last_two_axes(self, rng):
+        x = rng.normal(size=(2, 3, 4))
+        assert np.array_equal(transpose(Tensor(x)).data, x.transpose(0, 2, 1).astype(np.float32))
+        with pytest.raises(DimensionError):
+            transpose(Tensor([1.0, 2.0]))
+
+    def test_softmax_normalizes_each_row_of_each_matrix(self, rng):
+        with precision("f64"):
+            x = rng.normal(size=(3, 4, 5)) * 3
+            out = softmax_rows(Tensor(x)).data
+            for i in range(3):
+                assert np.allclose(out[i], oracles.softmax_loops(x[i]), atol=1e-12, rtol=0)
+
+    def test_softmax_gives_minus_infinity_exactly_zero_weight(self):
+        out = softmax_rows(Tensor([[[0.0, -np.inf, 1.0]], [[-np.inf, 2.0, 2.0]]])).data
+        assert out[0, 0, 1] == 0.0 and out[1, 0, 0] == 0.0
+        assert np.allclose(out.sum(axis=-1), 1.0)
+
+    def test_pack_places_heads_and_pads_with_zeros(self):
+        # rows 0 and 2 go to block 1, row 1 to block 0; 2 heads of width 1
+        x = Tensor([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0]])
+        slot = np.array([2, 0, 3])
+        packed = pack_rows(x, slot, blocks=2, width=2, heads=2).data
+        assert packed.shape == (4, 2, 1)
+        assert packed[:, :, 0].tolist() == [[2.0, 0.0], [1.0, 3.0], [20.0, 0.0], [10.0, 30.0]]
+        assert np.array_equal(unpack_rows(Tensor(packed), slot, heads=2).data, x.data)
+
+    def test_pack_rejects_rows_that_do_not_split_into_heads(self):
+        with pytest.raises(DimensionError):
+            pack_rows(Tensor(np.zeros((2, 3))), np.arange(2), blocks=1, width=2, heads=2)
+        with pytest.raises(DimensionError):
+            unpack_rows(Tensor(np.zeros((3, 2, 1))), np.arange(2), heads=2)
 
 
 class TestSoftmax:

@@ -217,6 +217,25 @@ class TestTrainLoop:
         assert all(np.array_equal(b, p.data) for b, (_, p) in zip(before, model.parameters()))
         assert log.read_text() == ""
 
+    def test_evaluate_rejects_non_finite_logits(self):
+        # argmax of a NaN row is index 0, which used to score as class 0
+        model, _, val = small_setup()
+        for _, p in model.parameters():
+            p.data = np.full_like(p.data, np.nan)
+        with pytest.raises(NumericError, match="non-finite logit for video 0"):
+            evaluate(model, val)
+
+    def test_overflowed_update_stops_before_the_epoch_is_logged(self, tmp_path):
+        # the one step of epoch 0 has a finite loss but sends the parameters
+        # to overflow, so the epoch's evaluation sees non-finite logits
+        model, train, val = small_setup()
+        log, ckpt = tmp_path / "run.log", tmp_path / "run.ckpt"
+        cfg = TrainConfig(epochs=2, batch_size=len(train), lr=1e30, seed=0)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError, match="non-finite logit"):
+            train_model(model, train, val, cfg, log_path=log, checkpoint_path=ckpt)
+        assert log.read_text() == ""
+        assert not ckpt.exists()
+
     @pytest.mark.slow
     def test_overfits_small_set(self):
         # sanity harness: 32 videos memorized within 200 epochs

@@ -72,7 +72,7 @@ class TestForward:
             out = module.forward(x, rois)
 
             fset = extract_features(x, rois)
-            positions = order_rois(fset.boxes)
+            positions = order_rois(fset.frame, fset.coords)
             feats = add(fset.features, Tensor(encoding_matrix(positions, 8)))
             feats = module.encoder.forward(feats)
             expected = write_back(x, replace(fset, features=feats))
@@ -135,7 +135,7 @@ class TestSceneTokens:
             out = module.forward(x, rois)
 
             fset = extract_features(x, rois)
-            feats = add(fset.features, Tensor(encoding_matrix(order_rois(fset.boxes), 8)))
+            feats = add(fset.features, Tensor(encoding_matrix(order_rois(fset.frame, fset.coords), 8)))
             tokens = add(scene_tokens(x), Tensor(encoding_matrix([3, 4, 5], 8)))
             feats = module.encoder.forward(concat_axis0([feats, tokens]))
             expected = write_back(x, replace(fset, features=slice_axis0(feats, 0, 3)))
