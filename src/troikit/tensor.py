@@ -8,8 +8,12 @@ broadcast is a bias vector over matrix rows (and plain Python scalars).
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
 import struct
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from typing import Sequence
 
@@ -507,14 +511,90 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
 # ---------------------------------------------------------------------------
 # convolution and pooling over (batch, s1, s2, channels) blocks
+#
+# A 2-D conv or pool treats each entry of the batch axis (a frame) on its own,
+# so both ops split that axis into _CHUNKS contiguous ranges and run them on
+# up to _CHUNKS cores: the calling thread takes the first range and _pool
+# threads take the rest. The ranges depend only on the batch size, never on
+# the core count, and every chunk runs the same code whether it is handed off
+# or not, so results are bit-identical on any machine. A chunk touches only
+# numpy arrays: the calling thread allocates the large ones, chunks fill
+# disjoint slices, and every Tensor and gradient update stays on the calling
+# thread.
+
+_CHUNKS = 2
+_HANDOFF_BYTES = 1 << 18  # below this much output, a hand-off costs more than it saves
+
+
+def _leave_the_main_threads_core() -> None:
+    """Pool-thread initializer: keep off the core the main thread last ran
+    on. Where the kernel does not balance load across cores (a cpuset with
+    load balancing off, for one), a new thread stays on its creator's core
+    for good, and both chunks would share it."""
+    try:
+        with open(f"/proc/self/task/{threading.main_thread().native_id}/stat") as fh:
+            core = int(fh.read().rsplit(")", 1)[1].split()[36])  # field 39, "processor"
+    except (OSError, ValueError, IndexError):
+        return
+    others = os.sched_getaffinity(0) - {core}
+    if others:
+        os.sched_setaffinity(0, others)  # this thread only
+
+
+def _new_pool() -> ThreadPoolExecutor | None:
+    # the calling thread is one of the workers; pool threads start on the
+    # first hand-off, not here
+    workers = min(_CHUNKS, len(os.sched_getaffinity(0)))
+    if workers < 2:
+        return None
+    return ThreadPoolExecutor(workers - 1, "troikit-chunk", _leave_the_main_threads_core)
+
+
+_pool = _new_pool()
+
+
+def _reset_pool_in_child() -> None:
+    # a forked child inherits the executor but not its threads
+    global _pool
+    _pool = _new_pool()
+
+
+os.register_at_fork(after_in_child=_reset_pool_in_child)
+
+
+def _frame_chunks(n: int) -> list[tuple[int, int]]:
+    """``_CHUNKS`` contiguous (lo, hi) ranges covering ``range(n)``; empty
+    ranges are left out, so a batch of one frame is one chunk."""
+    cuts = [n * i // _CHUNKS for i in range(_CHUNKS + 1)]
+    return [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
+
+
+def _run_chunks(fn, chunks: list[tuple[int, int]], nbytes: int) -> list:
+    """``fn(lo, hi)`` for every chunk, in parallel when ``nbytes`` (the
+    op's output size) is worth a hand-off; results come back in chunk
+    order. An exception is raised only once every chunk has stopped, and a
+    handed-off chunk's exception keeps its type."""
+    pool = _pool
+    if pool is None or len(chunks) < 2 or nbytes < _HANDOFF_BYTES:
+        return [fn(lo, hi) for lo, hi in chunks]
+    # each handed-off chunk runs in a copy of the caller's context, which
+    # carries numpy's error state (np.errstate)
+    futures = [pool.submit(contextvars.copy_context().run, fn, lo, hi) for lo, hi in chunks[1:]]
+    try:
+        first = fn(*chunks[0])
+    finally:
+        wait(futures)
+    return [first] + [f.result() for f in futures]
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, pad: int = 0) -> Tensor:
     """2-D convolution with a square kernel and zero padding, one output
     cell per kernel position.
 
-    ``x`` is (batch, s1, s2, c_in); ``w`` is (k, k, c_in, c_out). The
-    implementation lowers to one matrix product over unrolled patches.
+    ``x`` is (batch, s1, s2, c_in); ``w`` is (k, k, c_in, c_out). Each
+    frame chunk lowers to one matrix product over its unrolled patches; the
+    weight and bias gradients are the sum of the chunks' parts, added in
+    chunk order.
     """
     x = _as_tensor(x)
     w = _as_tensor(w)
@@ -533,29 +613,59 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, pad: int = 0) -> Tenso
     if o1 < 1 or o2 < 1:
         raise DimensionError(f"conv2d: kernel {k} does not fit input {x.data.shape} with pad {pad}")
 
-    xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad), (0, 0))) if pad else x.data
-    # one copy of the patch view, columns in (k, k, c_in) order
-    win = sliding_window_view(xp, (k, k), axis=(1, 2))
-    mat = win.transpose(0, 1, 2, 4, 5, 3).reshape(bsz * o1 * o2, k * k * cin)
+    dtype = x.data.dtype
+    p1, p2 = s1 + 2 * pad, s2 + 2 * pad
+    xp = np.zeros((bsz, p1, p2, cin), dtype=dtype) if pad else x.data
+    # the unrolled patches, columns in (k, k, c_in) order
+    mat = np.empty((bsz * o1 * o2, k * k * cin), dtype=dtype)
     wmat = w.data.reshape(k * k * cin, cout)
-    out = mat @ wmat
-    if b is not None:
-        out += b.data
+    out = np.empty((bsz * o1 * o2, cout), dtype=np.result_type(dtype, wmat.dtype))
+    cells = o1 * o2
+    chunks = _frame_chunks(bsz)
+
+    def _fwd(lo, hi):
+        if pad:
+            xp[lo:hi, pad : pad + s1, pad : pad + s2] = x.data[lo:hi]
+        rows = slice(lo * cells, hi * cells)
+        win = sliding_window_view(xp[lo:hi], (k, k), axis=(1, 2))
+        mat[rows].reshape(hi - lo, o1, o2, k, k, cin)[...] = win.transpose(0, 1, 2, 4, 5, 3)
+        np.matmul(mat[rows], wmat, out=out[rows])
+        if b is not None:
+            out[rows] += b.data
+
+    _run_chunks(_fwd, chunks, out.nbytes)
     out = out.reshape(bsz, o1, o2, cout)
 
     def _bw(g):
         gm = g.reshape(bsz * o1 * o2, cout)
-        if w.requires_grad:
-            _accumulate(w, (mat.T @ gm).reshape(w.data.shape))
-        if b is not None and b.requires_grad:
-            _accumulate(b, np.ones(gm.shape[0], dtype=gm.dtype) @ gm)
+        w_grad = w.requires_grad
+        b_grad = b is not None and b.requires_grad
         if x.requires_grad:
-            # one contiguous (batch, o1, o2, c_in) block per kernel tap, small
-            # enough to stay in cache while it is scattered back
-            dxp = np.zeros((bsz, s1 + 2 * pad, s2 + 2 * pad, cin), dtype=g.dtype)
-            for i in range(k):
-                for j in range(k):
-                    dxp[:, i : i + o1, j : j + o2, :] += (gm @ w.data[i, j].T).reshape(bsz, o1, o2, cin)
+            # the padded input gradient, and room for one kernel tap's
+            # product, which each chunk scatters back while it is in cache
+            dxp = np.zeros((bsz, p1, p2, cin), dtype=g.dtype)
+            tap = np.empty((bsz * cells, cin), dtype=g.dtype)
+
+        def _bw_chunk(lo, hi):
+            rows = slice(lo * cells, hi * cells)
+            gw = (mat[rows].T @ gm[rows]) if w_grad else None
+            gb = (np.ones(rows.stop - rows.start, dtype=gm.dtype) @ gm[rows]) if b_grad else None
+            if x.requires_grad:
+                for i in range(k):
+                    for j in range(k):
+                        np.matmul(gm[rows], w.data[i, j].T, out=tap[rows])
+                        dxp[lo:hi, i : i + o1, j : j + o2, :] += tap[rows].reshape(hi - lo, o1, o2, cin)
+            return gw, gb
+
+        parts = _run_chunks(_bw_chunk, chunks, g.nbytes)
+        # sum(rest, first) adds the chunks' parts in chunk order
+        if w_grad:
+            gws = [gw for gw, _ in parts]
+            _accumulate(w, sum(gws[1:], gws[0]).reshape(w.data.shape), owned=True)
+        if b_grad:
+            gbs = [gb for _, gb in parts]
+            _accumulate(b, sum(gbs[1:], gbs[0]), owned=True)
+        if x.requires_grad:
             _accumulate(x, dxp[:, pad : pad + s1, pad : pad + s2, :] if pad else dxp, owned=True)
 
     parents = (x, w) if b is None else (x, w, b)
@@ -590,38 +700,54 @@ def max_pool2d(x: Tensor) -> Tensor:
         i, j = divmod(n, 2)
         return a[:, i : i + 2 * o1 : 2, j : j + 2 * o2 : 2, :]
 
-    out = window(x.data, 0).copy()
-    if not (_state["grad_enabled"] and x.requires_grad):
-        for n in range(1, 4):
-            np.maximum(out, window(x.data, n), out=out)
-        return Tensor._result(out, (x,), None)
-
-    # first[cell] is the scan-order tap of the window's first maximum. The
-    # batch goes in slices whose temporaries stay in cache, and a contiguous
-    # copy of each tap makes the compare and the max cheap.
-    first = np.zeros(out.shape, dtype=np.uint8)
+    out = np.empty((bsz, o1, o2, c), dtype=x.data.dtype)
+    tracked = _state["grad_enabled"] and x.requires_grad
+    # first[cell] is the scan-order tap of the window's first maximum
+    first = np.zeros(out.shape, dtype=np.uint8) if tracked else None
+    # each chunk goes in batch slices whose temporaries stay in cache
     step = max(1, _POOL_SLICE_BYTES // max(out[:1].nbytes, 1))
-    slices = [slice(lo, lo + step) for lo in range(0, bsz, step)]
-    cand_buf = np.empty_like(out[:step])
-    hit_buf = np.empty(cand_buf.shape, dtype=bool)
-    for sl in slices:
-        xs, outs, firsts = x.data[sl], out[sl], first[sl]
-        cand, hit = cand_buf[: len(outs)], hit_buf[: len(outs)]
-        for n in range(1, 4):
-            np.copyto(cand, window(xs, n))
-            np.greater(cand, outs, out=hit)
-            np.maximum(firsts, hit * np.uint8(n), out=firsts)
-            np.maximum(outs, cand, out=outs)
+    chunks = _frame_chunks(bsz)
+
+    def slices(lo, hi):
+        return [slice(a, min(a + step, hi)) for a in range(lo, hi, step)]
+
+    def _fwd(lo, hi):
+        xs, outs = x.data[lo:hi], out[lo:hi]
+        np.copyto(outs, window(xs, 0))
+        if first is None:
+            for n in range(1, 4):
+                np.maximum(outs, window(xs, n), out=outs)
+            return
+        # a contiguous copy of each tap makes the compare and the max cheap;
+        # the buffers are this chunk's own
+        cand_buf = np.empty_like(out[: min(step, hi - lo)])
+        hit_buf = np.empty(cand_buf.shape, dtype=bool)
+        for sl in slices(lo, hi):
+            xs, outs, firsts = x.data[sl], out[sl], first[sl]
+            cand, hit = cand_buf[: len(outs)], hit_buf[: len(outs)]
+            for n in range(1, 4):
+                np.copyto(cand, window(xs, n))
+                np.greater(cand, outs, out=hit)
+                np.maximum(firsts, hit * np.uint8(n), out=firsts)
+                np.maximum(outs, cand, out=outs)
+
+    _run_chunks(_fwd, chunks, out.nbytes)
+    if not tracked:
+        return Tensor._result(out, (x,), None)
 
     def _bw(g):
         if s1 % 2 or s2 % 2:
             gx = np.zeros_like(x.data)
         else:
             gx = np.empty_like(x.data)  # the windows tile the input exactly
-        for sl in slices:
-            gs, firsts, gxs = g[sl], first[sl], gx[sl]
-            for n in range(4):
-                np.multiply(gs, firsts == n, out=window(gxs, n))
+
+        def _bw_chunk(lo, hi):
+            for sl in slices(lo, hi):
+                gs, firsts, gxs = g[sl], first[sl], gx[sl]
+                for n in range(4):
+                    np.multiply(gs, firsts == n, out=window(gxs, n))
+
+        _run_chunks(_bw_chunk, chunks, g.nbytes)
         _accumulate(x, gx, owned=True)
 
     return Tensor._result(out, (x,), _bw)

@@ -1,7 +1,14 @@
+import os
 import sys
 from pathlib import Path
 
-import numpy as np
+# One BLAS thread, set before numpy loads OpenBLAS: f32 results then do not
+# depend on the host's core count, and BLAS threads do not compete with the
+# conv stages' chunk threads. perfbench/run.py pins the same variables.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))

@@ -9,8 +9,10 @@ from troikit.tensor import (
     add,
     concat_axis0,
     concat_cols,
+    conv2d,
     cross_entropy,
     matmul,
+    max_pool2d,
     mul,
     pack_rows,
     precision,
@@ -166,7 +168,25 @@ def _build_pack_unpack_rows(rng):
     return [x, mix], lambda: reduce_sum(mul(unpack_rows(matmul(mix, pack_rows(x, slot, 3, 3, 2)), slot, 2), proj))
 
 
+def _build_conv2d_three_frames(rng):
+    # three frames split into chunks of one and two
+    pad = int(rng.integers(2))
+    x = Tensor(rng.normal(size=(3, 5, 4, 2)), requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 3, 2, 3)) * 0.5, requires_grad=True)
+    b = Tensor(rng.normal(size=(3,)), requires_grad=True)
+    proj = Tensor(rng.normal(size=(3, 3 + 2 * pad, 2 + 2 * pad, 3)))
+    return [x, w, b], lambda: reduce_sum(mul(conv2d(x, w, b, pad=pad), proj))
+
+
+def _build_max_pool2d_three_frames(rng):
+    x = Tensor(rng.normal(size=(3, 5, 6, 2)), requires_grad=True)
+    proj = Tensor(rng.normal(size=(3, 2, 3, 2)))
+    return [x], lambda: reduce_sum(mul(max_pool2d(x), proj))
+
+
 UNIT_BUILDERS = {
+    "conv2d_three_frames": _build_conv2d_three_frames,
+    "max_pool2d_three_frames": _build_max_pool2d_three_frames,
     "matmul_batched": _build_matmul_batched,
     "transpose_batched": _build_transpose_batched,
     "softmax_batched": _build_softmax_batched,
