@@ -3,6 +3,7 @@ on up to two threads. Whether a chunk is handed off must change no bit of
 any result, a failing chunk must surface cleanly, and a process holding a
 live chunk thread must still fork its dataset workers."""
 
+import multiprocessing
 import os
 import threading
 import time
@@ -278,3 +279,16 @@ def test_dataset_workers_fork_cleanly_after_a_threaded_step(pools, eager):
     for a, b in zip(built["videos"], serial):
         assert a.frames.tobytes() == b.frames.tobytes()
         assert (a.label, a.rois) == (b.label, b.rois)
+
+
+def _pool_sum_in_child():
+    x = Tensor(np.ones((4, 32, 32, 8)))
+    return float(max_pool2d(x).data.sum())
+
+
+def test_a_forked_child_gets_its_own_chunk_pool(pools, eager):
+    pools(2)
+    x = Tensor(np.ones((4, 32, 32, 8)))
+    expected = float(max_pool2d(x).data.sum())  # the parent's chunk thread is now running
+    with multiprocessing.get_context("fork").Pool(1) as children:
+        assert children.apply_async(_pool_sum_in_child).get(timeout=60) == expected
