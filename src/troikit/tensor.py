@@ -13,7 +13,7 @@ import math
 import os
 import struct
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from typing import Sequence
 
@@ -572,8 +572,11 @@ def _frame_chunks(n: int) -> list[tuple[int, int]]:
 def _run_chunks(fn, chunks: list[tuple[int, int]], nbytes: int) -> list:
     """``fn(lo, hi)`` for every chunk, in parallel when ``nbytes`` (the
     op's output size) is worth a hand-off; results come back in chunk
-    order. An exception is raised only once every chunk has stopped, and a
-    handed-off chunk's exception keeps its type."""
+    order. A handed-off chunk that no pool thread has started by the time
+    the calling thread is free runs on the calling thread instead, so a
+    pool thread whose core is busy elsewhere delays nothing. An exception
+    is raised only once every chunk has stopped, and a handed-off chunk's
+    exception keeps its type."""
     pool = _pool
     if pool is None or len(chunks) < 2 or nbytes < _HANDOFF_BYTES:
         return [fn(lo, hi) for lo, hi in chunks]
@@ -581,10 +584,12 @@ def _run_chunks(fn, chunks: list[tuple[int, int]], nbytes: int) -> list:
     # carries numpy's error state (np.errstate)
     futures = [pool.submit(contextvars.copy_context().run, fn, lo, hi) for lo, hi in chunks[1:]]
     try:
-        first = fn(*chunks[0])
+        parts = [fn(*chunks[0])]
+        parts += [fn(*chunk) if f.cancel() else f for f, chunk in zip(futures, chunks[1:])]
     finally:
-        wait(futures)
-    return [first] + [f.result() for f in futures]
+        # a chunk that no pool thread has started by now never will
+        wait([f for f in futures if not f.cancel()])
+    return [p.result() if isinstance(p, Future) else p for p in parts]
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, pad: int = 0) -> Tensor:
@@ -641,9 +646,11 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, pad: int = 0) -> Tenso
         w_grad = w.requires_grad
         b_grad = b is not None and b.requires_grad
         if x.requires_grad:
-            # the padded input gradient, and room for one kernel tap's
-            # product, which each chunk scatters back while it is in cache
+            # the padded input gradient, its unpadded copy, and room for one
+            # kernel tap's product, which each chunk scatters back while it
+            # is in cache
             dxp = np.zeros((bsz, p1, p2, cin), dtype=g.dtype)
+            dx = np.empty(x.data.shape, dtype=g.dtype) if pad else dxp
             tap = np.empty((bsz * cells, cin), dtype=g.dtype)
 
         def _bw_chunk(lo, hi):
@@ -655,9 +662,13 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, pad: int = 0) -> Tenso
                     for j in range(k):
                         np.matmul(gm[rows], w.data[i, j].T, out=tap[rows])
                         dxp[lo:hi, i : i + o1, j : j + o2, :] += tap[rows].reshape(hi - lo, o1, o2, cin)
+                if pad:
+                    dx[lo:hi] = dxp[lo:hi, pad : pad + s1, pad : pad + s2]
             return gw, gb
 
-        parts = _run_chunks(_bw_chunk, chunks, g.nbytes)
+        # without the input gradient, a chunk is one memory-bound weight GEMM,
+        # which ran 5-12% slower on two cores than on one (stage 0)
+        parts = _run_chunks(_bw_chunk, chunks, g.nbytes if x.requires_grad else 0)
         # sum(rest, first) adds the chunks' parts in chunk order
         if w_grad:
             gws = [gw for gw, _ in parts]
@@ -666,7 +677,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, pad: int = 0) -> Tenso
             gbs = [gb for _, gb in parts]
             _accumulate(b, sum(gbs[1:], gbs[0]), owned=True)
         if x.requires_grad:
-            _accumulate(x, dxp[:, pad : pad + s1, pad : pad + s2, :] if pad else dxp, owned=True)
+            _accumulate(x, dx, owned=True)
 
     parents = (x, w) if b is None else (x, w, b)
     return Tensor._result(out, parents, _bw)

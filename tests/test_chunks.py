@@ -36,7 +36,9 @@ from test_gradcheck import UNIT_BUILDERS
 
 
 class CountingPool(ThreadPoolExecutor):
-    """A one-thread chunk pool that counts hand-offs and keeps its futures."""
+    """A one-thread chunk pool that keeps its futures. Its futures refuse to
+    be cancelled, so the calling thread never takes a chunk back, and every
+    chunk handed to it runs on its thread."""
 
     def __init__(self):
         super().__init__(max_workers=1, thread_name_prefix="test-chunk")
@@ -44,6 +46,7 @@ class CountingPool(ThreadPoolExecutor):
 
     def submit(self, *args, **kwargs):
         future = super().submit(*args, **kwargs)
+        future.cancel = lambda: False
         self.futures.append(future)
         return future
 
@@ -204,6 +207,24 @@ def test_three_frame_gradchecks_with_a_handed_off_chunk(pools, eager, name):
             passed, err, _ = check_point(fn, leaves, rng, DEFAULT_TOL, 24)
             assert passed, (name, err)
     assert pool.futures
+
+
+def test_a_chunk_no_pool_thread_has_started_runs_on_the_calling_thread(pools, eager, rng, monkeypatch):
+    x = rng.normal(size=(4, 6, 6, 3))
+    w = rng.normal(size=(3, 3, 3, 5))
+    pools(1)
+    inline = conv2d(Tensor(x), Tensor(w), pad=1).data
+    busy = ThreadPoolExecutor(max_workers=1)
+    monkeypatch.setattr(tensor_module, "_pool", busy)
+    release = threading.Event()
+    try:
+        blocker = busy.submit(release.wait, 60)  # the pool thread is busy elsewhere
+        out = conv2d(Tensor(x), Tensor(w), pad=1).data
+        assert not blocker.done(), "conv2d waited for the busy pool thread"
+    finally:
+        release.set()
+        busy.shutdown(wait=True)
+    assert out.tobytes() == inline.tobytes()
 
 
 # -- a failing chunk ----------------------------------------------------------
