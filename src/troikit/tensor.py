@@ -8,12 +8,11 @@ broadcast is a bias vector over matrix rows (and plain Python scalars).
 
 from __future__ import annotations
 
-import contextvars
 import math
 import os
 import struct
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from typing import Sequence
 
@@ -523,14 +522,30 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 # thread.
 
 _CHUNKS = 2
-_HANDOFF_BYTES = 1 << 18  # below this much output, a hand-off costs more than it saves
+# the output size from which a hand-off pays, per op, set from A/B timings
+# of each op inline and handed off on 2 cores (see CHANGES.md): a conv gained
+# 1.2-1.9x from 512 KB up and lost up to 2x below 256 KB; a pool's forward
+# gained 1.1-1.4x from 1 MB up and lost 0.8x at 512 KB
+_CONV_HANDOFF_BYTES = 1 << 19
+_POOL_HANDOFF_BYTES = 1 << 20
+
+
+def _cores() -> int:
+    """Cores this process may run on (the affinity mask where the OS has
+    one, else the machine's core count)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _leave_the_main_threads_core() -> None:
     """Pool-thread initializer: keep off the core the main thread last ran
     on. Where the kernel does not balance load across cores (a cpuset with
     load balancing off, for one), a new thread stays on its creator's core
-    for good, and both chunks would share it."""
+    for good, and both chunks would share it. Only Linux reports and sets
+    a thread's core this way; elsewhere the thread is left where it is."""
+    if not hasattr(os, "sched_setaffinity"):
+        return
     try:
         with open(f"/proc/self/task/{threading.main_thread().native_id}/stat") as fh:
             core = int(fh.read().rsplit(")", 1)[1].split()[36])  # field 39, "processor"
@@ -544,7 +559,7 @@ def _leave_the_main_threads_core() -> None:
 def _new_pool() -> ThreadPoolExecutor | None:
     # the calling thread is one of the workers; pool threads start on the
     # first hand-off, not here
-    workers = min(_CHUNKS, len(os.sched_getaffinity(0)))
+    workers = min(_CHUNKS, _cores())
     if workers < 2:
         return None
     return ThreadPoolExecutor(workers - 1, "troikit-chunk", _leave_the_main_threads_core)
@@ -559,7 +574,8 @@ def _reset_pool_in_child() -> None:
     _pool = _new_pool()
 
 
-os.register_at_fork(after_in_child=_reset_pool_in_child)
+if hasattr(os, "register_at_fork"):  # absent where processes cannot fork
+    os.register_at_fork(after_in_child=_reset_pool_in_child)
 
 
 def _frame_chunks(n: int) -> list[tuple[int, int]]:
@@ -569,27 +585,27 @@ def _frame_chunks(n: int) -> list[tuple[int, int]]:
     return [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
 
 
-def _run_chunks(fn, chunks: list[tuple[int, int]], nbytes: int) -> list:
-    """``fn(lo, hi)`` for every chunk, in parallel when ``nbytes`` (the
-    op's output size) is worth a hand-off; results come back in chunk
-    order. A handed-off chunk that no pool thread has started by the time
-    the calling thread is free runs on the calling thread instead, so a
-    pool thread whose core is busy elsewhere delays nothing. An exception
-    is raised only once every chunk has stopped, and a handed-off chunk's
-    exception keeps its type."""
+def _in_errstate(err: dict, fn, lo: int, hi: int):
+    with np.errstate(**err):
+        return fn(lo, hi)
+
+
+def _run_chunks(fn, chunks: list[tuple[int, int]], handoff: bool) -> list:
+    """``fn(lo, hi)`` for every chunk, in parallel when ``handoff`` says the
+    work is worth it; results come back in chunk order. The calling thread runs the first chunk and the pool the rest,
+    under the caller's numpy error state. An exception is raised only once
+    every chunk has stopped, and a handed-off chunk's exception keeps its
+    type."""
     pool = _pool
-    if pool is None or len(chunks) < 2 or nbytes < _HANDOFF_BYTES:
+    if pool is None or len(chunks) < 2 or not handoff:
         return [fn(lo, hi) for lo, hi in chunks]
-    # each handed-off chunk runs in a copy of the caller's context, which
-    # carries numpy's error state (np.errstate)
-    futures = [pool.submit(contextvars.copy_context().run, fn, lo, hi) for lo, hi in chunks[1:]]
+    err = np.geterr()
+    futures = [pool.submit(_in_errstate, err, fn, lo, hi) for lo, hi in chunks[1:]]
     try:
-        parts = [fn(*chunks[0])]
-        parts += [fn(*chunk) if f.cancel() else f for f, chunk in zip(futures, chunks[1:])]
+        first = fn(*chunks[0])
     finally:
-        # a chunk that no pool thread has started by now never will
-        wait([f for f in futures if not f.cancel()])
-    return [p.result() if isinstance(p, Future) else p for p in parts]
+        wait(futures)
+    return [first] + [f.result() for f in futures]
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, pad: int = 0) -> Tensor:
@@ -638,7 +654,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, pad: int = 0) -> Tenso
         if b is not None:
             out[rows] += b.data
 
-    _run_chunks(_fwd, chunks, out.nbytes)
+    _run_chunks(_fwd, chunks, out.nbytes >= _CONV_HANDOFF_BYTES)
     out = out.reshape(bsz, o1, o2, cout)
 
     def _bw(g):
@@ -668,7 +684,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, pad: int = 0) -> Tenso
 
         # without the input gradient, a chunk is one memory-bound weight GEMM,
         # which ran 5-12% slower on two cores than on one (stage 0)
-        parts = _run_chunks(_bw_chunk, chunks, g.nbytes if x.requires_grad else 0)
+        parts = _run_chunks(_bw_chunk, chunks, x.requires_grad and g.nbytes >= _CONV_HANDOFF_BYTES)
         # sum(rest, first) adds the chunks' parts in chunk order
         if w_grad:
             gws = [gw for gw, _ in parts]
@@ -742,7 +758,7 @@ def max_pool2d(x: Tensor) -> Tensor:
                 np.maximum(firsts, hit * np.uint8(n), out=firsts)
                 np.maximum(outs, cand, out=outs)
 
-    _run_chunks(_fwd, chunks, out.nbytes)
+    _run_chunks(_fwd, chunks, out.nbytes >= _POOL_HANDOFF_BYTES)
     if not tracked:
         return Tensor._result(out, (x,), None)
 
@@ -758,7 +774,7 @@ def max_pool2d(x: Tensor) -> Tensor:
                 for n in range(4):
                     np.multiply(gs, firsts == n, out=window(gxs, n))
 
-        _run_chunks(_bw_chunk, chunks, g.nbytes)
+        _run_chunks(_bw_chunk, chunks, g.nbytes >= _POOL_HANDOFF_BYTES)
         _accumulate(x, gx, owned=True)
 
     return Tensor._result(out, (x,), _bw)

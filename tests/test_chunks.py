@@ -5,6 +5,8 @@ live chunk thread must still fork its dataset workers."""
 
 import multiprocessing
 import os
+import subprocess
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -36,9 +38,8 @@ from test_gradcheck import UNIT_BUILDERS
 
 
 class CountingPool(ThreadPoolExecutor):
-    """A one-thread chunk pool that keeps its futures. Its futures refuse to
-    be cancelled, so the calling thread never takes a chunk back, and every
-    chunk handed to it runs on its thread."""
+    """A one-thread chunk pool that keeps the futures of the chunks handed
+    to it."""
 
     def __init__(self):
         super().__init__(max_workers=1, thread_name_prefix="test-chunk")
@@ -46,7 +47,6 @@ class CountingPool(ThreadPoolExecutor):
 
     def submit(self, *args, **kwargs):
         future = super().submit(*args, **kwargs)
-        future.cancel = lambda: False
         self.futures.append(future)
         return future
 
@@ -72,7 +72,8 @@ def pools(monkeypatch):
 @pytest.fixture
 def eager(monkeypatch):
     """Hand off chunks of any size, so small test shapes use the pool too."""
-    monkeypatch.setattr(tensor_module, "_HANDOFF_BYTES", 0)
+    monkeypatch.setattr(tensor_module, "_CONV_HANDOFF_BYTES", 0)
+    monkeypatch.setattr(tensor_module, "_POOL_HANDOFF_BYTES", 0)
 
 
 def test_chunks_are_fixed_by_the_batch_size():
@@ -91,6 +92,45 @@ def test_the_chunk_thread_leaves_one_core_to_the_main_thread():
         pool.shutdown(wait=True)
     assert allowed < os.sched_getaffinity(0)
     assert len(allowed) == len(os.sched_getaffinity(0)) - 1
+
+
+def test_the_pool_is_sized_from_the_core_count_where_there_is_no_affinity_mask(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert tensor_module._new_pool() is None
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    pool = tensor_module._new_pool()
+    try:
+        assert pool._max_workers == tensor_module._CHUNKS - 1
+        assert pool.submit(threading.current_thread).result(timeout=60).name.startswith("troikit-chunk")
+    finally:
+        pool.shutdown(wait=True)
+
+
+def test_troikit_imports_and_runs_without_the_linux_only_os_calls():
+    # macOS lacks sched_getaffinity and sched_setaffinity, Windows also
+    # register_at_fork; troikit must import and give the same bits there
+    script = """
+import os
+for name in ("sched_getaffinity", "sched_setaffinity", "register_at_fork"):
+    if hasattr(os, name):
+        delattr(os, name)
+import numpy as np
+import troikit.tensor as t
+x = t.Tensor(np.random.default_rng(0).normal(size=(4, 8, 8, 2)))
+w = t.Tensor(np.random.default_rng(1).normal(size=(3, 3, 2, 3)))
+t._CONV_HANDOFF_BYTES = t._POOL_HANDOFF_BYTES = 0
+handed_off = t.max_pool2d(t.conv2d(x, w, pad=1)).data.tobytes()
+pool, t._pool = t._pool, None
+inline = t.max_pool2d(t.conv2d(x, w, pad=1)).data.tobytes()
+print(pool is not None, handed_off == inline)
+"""
+    src = os.path.dirname(os.path.dirname(tensor_module.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str((os.cpu_count() or 1) >= 2), "True"]
 
 
 # -- bit-identity between one and two workers --------------------------------
@@ -207,24 +247,6 @@ def test_three_frame_gradchecks_with_a_handed_off_chunk(pools, eager, name):
             passed, err, _ = check_point(fn, leaves, rng, DEFAULT_TOL, 24)
             assert passed, (name, err)
     assert pool.futures
-
-
-def test_a_chunk_no_pool_thread_has_started_runs_on_the_calling_thread(pools, eager, rng, monkeypatch):
-    x = rng.normal(size=(4, 6, 6, 3))
-    w = rng.normal(size=(3, 3, 3, 5))
-    pools(1)
-    inline = conv2d(Tensor(x), Tensor(w), pad=1).data
-    busy = ThreadPoolExecutor(max_workers=1)
-    monkeypatch.setattr(tensor_module, "_pool", busy)
-    release = threading.Event()
-    try:
-        blocker = busy.submit(release.wait, 60)  # the pool thread is busy elsewhere
-        out = conv2d(Tensor(x), Tensor(w), pad=1).data
-        assert not blocker.done(), "conv2d waited for the busy pool thread"
-    finally:
-        release.set()
-        busy.shutdown(wait=True)
-    assert out.tobytes() == inline.tobytes()
 
 
 # -- a failing chunk ----------------------------------------------------------
