@@ -249,6 +249,32 @@ def test_three_frame_gradchecks_with_a_handed_off_chunk(pools, eager, name):
     assert pool.futures
 
 
+def test_ops_from_more_threads_than_cores_keep_their_bits(pools, eager, rng):
+    # chunks of concurrent ops share the pool thread and write disjoint
+    # slices of per-op buffers; a lost or misplaced write changes the bits
+    xs = [rng.normal(size=(5, 8, 8, 3)) for _ in range(4)]
+    w = rng.normal(size=(3, 3, 3, 4))
+
+    def run(x):
+        xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+        out = max_pool2d(conv2d(xt, wt, pad=1))
+        backward(reduce_sum(out))
+        return out.data.tobytes(), xt.grad.tobytes(), wt.grad.tobytes()
+
+    pools(1)
+    inline = [run(x) for x in xs]
+    pool = pools(2)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(len(xs)) as callers:
+            threaded = list(callers.map(run, xs * 5, timeout=120))
+    finally:
+        sys.setswitchinterval(switch)
+    assert threaded == inline * 5
+    assert len(pool.futures) >= 4 * len(threaded)
+
+
 # -- a failing chunk ----------------------------------------------------------
 
 
