@@ -523,9 +523,9 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
 _CHUNKS = 2
 # the output size from which a hand-off pays, per op, set from A/B timings
-# of each op inline and handed off on 2 cores (see CHANGES.md): a conv gained
-# 1.2-1.9x from 512 KB up and lost up to 2x below 256 KB; a pool's forward
-# gained 1.1-1.4x from 1 MB up and lost 0.8x at 512 KB
+# of each op inline and handed off on 2 cores (see CHANGES.md): a conv ran
+# 1.2-1.9x faster from 512 KB up and 0.4-0.8x below 256 KB; a pool's forward
+# ran 1.1-1.4x from 1 MB up and 0.8x at 512 KB
 _CONV_HANDOFF_BYTES = 1 << 19
 _POOL_HANDOFF_BYTES = 1 << 20
 
@@ -592,10 +592,10 @@ def _in_errstate(err: dict, fn, lo: int, hi: int):
 
 def _run_chunks(fn, chunks: list[tuple[int, int]], handoff: bool) -> list:
     """``fn(lo, hi)`` for every chunk, in parallel when ``handoff`` says the
-    work is worth it; results come back in chunk order. The calling thread runs the first chunk and the pool the rest,
-    under the caller's numpy error state. An exception is raised only once
-    every chunk has stopped, and a handed-off chunk's exception keeps its
-    type."""
+    work is worth it; results come back in chunk order. The calling thread
+    runs the first chunk and the pool the rest, under the caller's numpy
+    error state. An exception is raised only once every chunk has stopped,
+    and a handed-off chunk's exception keeps its type."""
     pool = _pool
     if pool is None or len(chunks) < 2 or not handoff:
         return [fn(lo, hi) for lo, hi in chunks]
@@ -683,7 +683,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, pad: int = 0) -> Tenso
             return gw, gb
 
         # without the input gradient, a chunk is one memory-bound weight GEMM,
-        # which ran 5-12% slower on two cores than on one (stage 0)
+        # which ran 0.91x on two cores against one (stage 0)
         parts = _run_chunks(_bw_chunk, chunks, x.requires_grad and g.nbytes >= _CONV_HANDOFF_BYTES)
         # sum(rest, first) adds the chunks' parts in chunk order
         if w_grad:
