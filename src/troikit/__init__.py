@@ -31,7 +31,6 @@ from .synth import (
     build_dataset,
     corrupt_rois,
     generate,
-    iou,
     load_dataset,
     save_dataset,
 )

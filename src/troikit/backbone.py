@@ -135,7 +135,7 @@ class VideoClassifier:
     def _stage(self, x: Tensor, stage: int) -> Tensor:
         # the module-level ops are looked up at call time, so wrappers
         # patched onto this module see every call
-        return relu(max_pool2d(conv2d(x, self.stage_weights[stage], self.stage_biases[stage], pad=1)))
+        return relu(max_pool2d(conv2d(x, self.stage_weights[stage], self.stage_biases[stage])))
 
     # -- parameters and checkpoints ---------------------------------------
 

@@ -1,7 +1,9 @@
 """Command-line entry points: gen, train, eval, ablate, gradcheck.
 
-Every option can also come from a `key = value` config file passed with
---config; explicit flags win over the file, the file wins over built-in
+Each sub-command's options are declared once, in its ``*_DEFAULTS``
+table, from which the parser makes one flag per key. Every option can
+also come from a `key = value` config file passed with --config;
+explicit flags win over the file, the file wins over the table's
 defaults, and unknown keys are rejected. Training writes a sidecar
 `<checkpoint>.cfg` in the same format so that eval (and a rerun of
 train) can reproduce the exact model.
@@ -13,17 +15,21 @@ Exit codes: 0 success, 2 usage or configuration, 3 data/IO,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
 from .backbone import BackboneSpec, VideoClassifier, load_checkpoint
 from .errors import ConfigError, DataError, NumericError, TroikitError
 from .gradcheck import ALL_OPS, format_report, run_checks
+from .posenc import ORDERINGS
 from .synth import CLASSES, CORRUPT_MODES, build_dataset, load_dataset, save_dataset
-from .tensor import precision
+from .tensor import PRECISIONS, precision
 from .train import TrainConfig, completed_epochs, evaluate, train_model
 from .troi import INSERTION_POINTS, TroiConfig
 
+# Each table maps an option to its default; the type of the default is the
+# option's type (None: a string), and a bool is a switch.
 GEN_DEFAULTS = {
     "out": None,
     "per_class": 100,
@@ -89,6 +95,26 @@ GRADCHECK_DEFAULTS = {
     "perturb": 0.0,
 }
 
+# the values an option may take, wherever it is set
+CHOICES = {
+    "precision": tuple(PRECISIONS),
+    "troi_at": INSERTION_POINTS,
+    "ordering": ORDERINGS,
+    "corrupt": CORRUPT_MODES,
+}
+
+_HELP = {
+    "log": "metrics log path (default: <out>.log)",
+    "lr_boundaries": "e.g. 20,40",
+    "channels": "comma list of 4 stage widths",
+    "variant": "comma list of scene,coord",
+    "model_config": "sidecar config (default: <checkpoint>.cfg)",
+    "op": "comma list; default all",
+    "perturb": "offset analytic grads (negative control)",
+}
+
+_TRAIN_FIELDS = {f.name for f in dataclasses.fields(TrainConfig)}
+
 
 def _read_config(path, known: dict) -> dict:
     """The `key = value` entries of a config file; each value is coerced
@@ -109,13 +135,15 @@ def _read_config(path, known: dict) -> dict:
         if key not in known:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         default = known[key]  # untyped (None) defaults keep their values as strings
-        entries[key] = _coerce(key, raw.strip(), "" if default is None else default)
+        value = _coerce(key, raw.strip(), "" if default is None else default)
+        if key in CHOICES and value is not None and value not in CHOICES[key]:
+            raise ConfigError(f"{path}:{lineno}: {key} must be one of {CHOICES[key]}, got {value!r}")
+        entries[key] = value
     return entries
 
 
 def _coerce(key: str, raw: str, default):
-    if raw.lower() in ("none", ""):
-        return None
+    # "none" or nothing unsets a string option; a number or a switch needs a value
     if isinstance(default, bool):
         if raw.lower() in ("true", "1", "yes"):
             return True
@@ -128,7 +156,7 @@ def _coerce(key: str, raw: str, default):
             return kind(raw)
         except ValueError:
             raise ConfigError(f"{key}: expected {kind.__name__}, got {raw!r}") from None
-    return raw
+    return None if raw.lower() in ("none", "") else raw
 
 
 def _merge(defaults: dict, args: argparse.Namespace, required=()) -> dict:
@@ -143,6 +171,10 @@ def _merge(defaults: dict, args: argparse.Namespace, required=()) -> dict:
     if missing:
         raise ConfigError(f"missing required option(s): {', '.join('--' + m.replace('_', '-') for m in missing)}")
     return cfg
+
+
+def _train_config(cfg: dict) -> TrainConfig:
+    return TrainConfig(**{key: value for key, value in cfg.items() if key in _TRAIN_FIELDS})
 
 
 def _parse_boundaries(raw):
@@ -217,17 +249,7 @@ def cmd_train(args) -> int:
     cfg = _merge(_SIDECAR_DEFAULTS, args, required=("data", "val_data", "out"))
     cfg["lr_boundaries"] = _parse_boundaries(cfg["lr_boundaries"])
     channels = _parse_channels(cfg["channels"])
-    tcfg = TrainConfig(
-        epochs=cfg["epochs"],
-        batch_size=cfg["batch_size"],
-        lr=cfg["lr"],
-        momentum=cfg["momentum"],
-        weight_decay=cfg["weight_decay"],
-        lr_boundaries=cfg["lr_boundaries"],
-        seed=cfg["seed"],
-        precision=cfg["precision"],
-        topk=cfg["topk"],
-    )
+    tcfg = _train_config(cfg)
     train_videos = load_dataset(cfg["data"])
     val_videos = load_dataset(cfg["val_data"])
     frames, size, num_classes = _dataset_shape(train_videos)
@@ -278,8 +300,6 @@ def _model_from_sidecar(sidecar: dict, ckpt_path) -> VideoClassifier:
 
 def cmd_eval(args) -> int:
     cfg = _merge(EVAL_DEFAULTS, args, required=("data", "checkpoint"))
-    if cfg["corrupt"] is not None and cfg["corrupt"] not in CORRUPT_MODES:
-        raise ConfigError(f"unknown corruption mode {cfg['corrupt']!r}; expected one of {CORRUPT_MODES}")
     ckpt = Path(cfg["checkpoint"])
     if not ckpt.exists():
         raise DataError(f"checkpoint {ckpt} does not exist")
@@ -306,7 +326,7 @@ def cmd_ablate(args) -> int:
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    tcfg = TrainConfig(epochs=cfg["epochs"], batch_size=cfg["batch_size"], lr=cfg["lr"], seed=cfg["seed"])
+    tcfg = _train_config(cfg)
     rows = []
     for placement in INSERTION_POINTS:
         for layers in (1, 2):
@@ -342,82 +362,34 @@ def cmd_gradcheck(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-
-def _add_common(p):
-    p.add_argument("--config", help="key = value file; flags override it")
+_COMMANDS = {
+    "gen": (cmd_gen, GEN_DEFAULTS, "generate a synthetic dataset"),
+    "train": (cmd_train, TRAIN_DEFAULTS, "train a classifier"),
+    "eval": (cmd_eval, EVAL_DEFAULTS, "evaluate a checkpoint"),
+    "ablate": (cmd_ablate, ABLATE_DEFAULTS, "placement x depth comparison table"),
+    "gradcheck": (cmd_gradcheck, GRADCHECK_DEFAULTS, "finite-difference gradient checks"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One sub-command per entry of ``_COMMANDS``, with one flag per key of
+    its defaults table: ``--key-name``, typed like the default, a switch for
+    a bool. Every flag defaults to None, so an unset flag leaves the config
+    file's value or the table's default in place."""
     parser = argparse.ArgumentParser(prog="troikit", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen", help="generate a synthetic dataset")
-    _add_common(p)
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--per-class", dest="per_class", type=int)
-    p.add_argument("--classes", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--frames", type=int)
-    p.add_argument("--size", type=int)
-    p.add_argument("--force", action="store_true", default=None)
-    p.set_defaults(func=cmd_gen)
-
-    p = sub.add_parser("train", help="train a classifier")
-    _add_common(p)
-    p.add_argument("--data", help="training dataset directory")
-    p.add_argument("--val-data", dest="val_data", help="validation dataset directory")
-    p.add_argument("--out", help="checkpoint path")
-    p.add_argument("--log", help="metrics log path (default: <out>.log)")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--momentum", type=float)
-    p.add_argument("--weight-decay", dest="weight_decay", type=float)
-    p.add_argument("--lr-boundaries", dest="lr_boundaries", help="e.g. 20,40")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--precision", choices=("f32", "f64"))
-    p.add_argument("--topk", type=int)
-    p.add_argument("--channels", help="e.g. 16,32,64,64")
-    p.add_argument("--no-troi", dest="no_troi", action="store_true", default=None)
-    p.add_argument("--troi-at", dest="troi_at", choices=INSERTION_POINTS)
-    p.add_argument("--troi-layers", dest="troi_layers", type=int)
-    p.add_argument("--heads", type=int)
-    p.add_argument("--variant", help="comma list of scene,coord")
-    p.add_argument("--ordering", choices=("left-right", "right-left"))
-    p.add_argument("--resume", action="store_true", default=None)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("eval", help="evaluate a checkpoint")
-    _add_common(p)
-    p.add_argument("--data", help="dataset directory")
-    p.add_argument("--checkpoint", help="checkpoint path")
-    p.add_argument("--model-config", dest="model_config", help="sidecar config (default: <checkpoint>.cfg)")
-    p.add_argument("--corrupt", choices=CORRUPT_MODES)
-    p.add_argument("--topk", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("ablate", help="placement x depth comparison table")
-    _add_common(p)
-    p.add_argument("--data")
-    p.add_argument("--val-data", dest="val_data")
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--heads", type=int)
-    p.set_defaults(func=cmd_ablate)
-
-    p = sub.add_parser("gradcheck", help="finite-difference gradient checks")
-    _add_common(p)
-    p.add_argument("--op", help="comma list; default all")
-    p.add_argument("--points", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--perturb", type=float, help="offset analytic grads (negative control)")
-    p.set_defaults(func=cmd_gradcheck)
-
+    for name, (func, defaults, summary) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--config", help="key = value file; flags override it")
+        for key, default in defaults.items():
+            flag = "--" + key.replace("_", "-")
+            if isinstance(default, bool):
+                p.add_argument(flag, dest=key, action="store_true", default=None, help=_HELP.get(key))
+                continue
+            text = _HELP.get(key, "") + ("" if default is None else f" (default: {default})")
+            kind = str if default is None else type(default)
+            p.add_argument(flag, dest=key, type=kind, choices=CHOICES.get(key), help=text)
+        p.set_defaults(func=func)
     return parser
 
 

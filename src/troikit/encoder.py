@@ -39,6 +39,9 @@ from .tensor import (
 )
 
 
+_MLP_RATIO = 2  # the MLP's hidden width, in multiples of the layer's channels
+
+
 class Blocks(NamedTuple):
     """Where each packed row sits in the padded per-video blocks."""
 
@@ -69,13 +72,13 @@ def blocks_of(video: np.ndarray, heads: int) -> Blocks:
 class EncoderLayer:
     """One self-attention + MLP block with residuals and layer norms."""
 
-    def __init__(self, channels: int, heads: int, rng: np.random.Generator, mlp_ratio: int = 2):
+    def __init__(self, channels: int, heads: int, rng: np.random.Generator):
         if heads < 1 or channels % heads:
             raise ConfigError(f"channels {channels} must divide evenly into {heads} heads")
         self.channels = channels
         self.heads = heads
         self.head_dim = channels // heads
-        hidden = mlp_ratio * channels
+        hidden = _MLP_RATIO * channels
         self.w_qkv = init_uniform(rng, (channels, 3 * channels), fan_in=channels)
         self.w_out = init_uniform(rng, (channels, channels), fan_in=channels)
         self.mlp_w1 = init_uniform(rng, (channels, hidden), fan_in=channels)

@@ -143,13 +143,11 @@ def _build_linear(rng):
 
 
 def _build_conv2d(rng):
-    pad = int(rng.integers(2))
     x = Tensor(rng.normal(size=(2, 5, 5, 3)), requires_grad=True)
     w = Tensor(rng.normal(size=(3, 3, 3, 4)) * 0.5, requires_grad=True)
     b = Tensor(rng.normal(size=(4,)), requires_grad=True)
-    o = 5 + 2 * pad - 2
-    proj = _projection(rng, (2, o, o, 4))
-    return [x, w, b], lambda: _scalarize(conv2d(x, w, b, pad=pad), proj)
+    proj = _projection(rng, (2, 5, 5, 4))
+    return [x, w, b], lambda: _scalarize(conv2d(x, w, b), proj)
 
 
 def _random_box(rng, frame: int = 0) -> RoiBox:

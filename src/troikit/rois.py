@@ -19,6 +19,7 @@ from .errors import ContractError, DimensionError, InvalidBoxError
 from .tensor import Tensor, _accumulate
 
 ENTITY_TAGS = ("hand", "object", "scene")
+_POOL_GRID = 2  # roi_align bins per side that extract_features averages for each box
 
 
 @dataclass(frozen=True)
@@ -53,9 +54,6 @@ class RoiBox:
 
     def width(self) -> float:
         return self.x2 - self.x1
-
-    def height(self) -> float:
-        return self.y2 - self.y1
 
 
 @dataclass(frozen=True)
@@ -211,11 +209,9 @@ def roi_align(x_t: Tensor, box: RoiBox, out: int = 2) -> Tensor:
     return Tensor._result(result, (x_t,), _bw)
 
 
-def extract_features(
-    x: Tensor, rois: Sequence[RoiBox], pool_grid: int = 2, per_video: Sequence[int] | None = None
-) -> RoiFeatureSet:
-    """Pool each ROI to a C-vector: the mean of its pool_grid x pool_grid
-    roi_align bins, for every box in one gather.
+def extract_features(x: Tensor, rois: Sequence[RoiBox], per_video: Sequence[int] | None = None) -> RoiFeatureSet:
+    """Pool each ROI to a C-vector: the mean of its 2 x 2 roi_align bins,
+    for every box in one gather.
 
     ``x`` is an (F, W, H, C) map. Without ``per_video`` it holds one video
     and box frames index it directly. With ``per_video`` it holds
@@ -248,7 +244,7 @@ def extract_features(
     if not order.size:
         return RoiFeatureSet(Tensor(np.zeros((0, c))), frame, coords, _cell_spans(coords, w, h), dropped)
 
-    ax, ay = _box_weights(coords, w, h, pool_grid)
+    ax, ay = _box_weights(coords, w, h, _POOL_GRID)
     n, cells = order.size, w * h
     kernel = (ax.mean(axis=1)[:, :, None] * ay.mean(axis=1)[:, None, :]).reshape(n, cells).astype(x.data.dtype)
     pooled = np.matmul(kernel[:, None, :], x.data.reshape(total, cells, c)[frame])[:, 0]

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import multiprocessing
-import os
 import re
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -292,10 +291,12 @@ def build_dataset(
     frames: int = 8,
     size: int = 32,
     classes=CLASSES,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> list[SynthVideo]:
     """Equal counts per class, interleaved; video seeds derive from
-    (base_seed, class, index) so the set is order- and worker-independent."""
+    (base_seed, class, index) so the set is order- and worker-independent.
+    ``workers`` > 1 renders in that many processes; on 2 cores that was
+    slower than one at every dataset size tried."""
     if per_class < 1 or base_seed < 0:
         raise ConfigError(f"per_class must be at least 1 and the seed non-negative, got {per_class}/{base_seed}")
     jobs = [
@@ -303,8 +304,6 @@ def build_dataset(
         for idx in range(per_class)
         for ci, cls in enumerate(classes)
     ]
-    if workers is None:
-        workers = int(os.environ.get("TROIKIT_THREADS", "1"))
     workers = max(1, min(workers, len(jobs)))
     if workers > 1:
         with multiprocessing.Pool(workers) as pool:
@@ -314,14 +313,6 @@ def build_dataset(
 
 # ---------------------------------------------------------------------------
 # corruption transforms
-
-
-def iou(a: RoiBox, b: RoiBox) -> float:
-    ix = max(0.0, min(a.x2, b.x2) - max(a.x1, b.x1))
-    iy = max(0.0, min(a.y2, b.y2) - max(a.y1, b.y1))
-    inter = ix * iy
-    union = a.width() * a.height() + b.width() * b.height() - inter
-    return inter / union if union > 0 else 0.0
 
 
 def shift_for_iou(alpha: float) -> float:

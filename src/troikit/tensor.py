@@ -3,7 +3,7 @@
 numpy supplies storage and flat arithmetic; every operation here builds
 its own backward closure so the analytic gradients stay small enough to
 audit against finite differences. Shapes are strict: the only permitted
-broadcast is a bias vector over matrix rows (and plain Python scalars).
+broadcast is a bias vector over matrix rows.
 """
 
 from __future__ import annotations
@@ -21,15 +21,15 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ContractError, DataError, DimensionError
 
-_PRECISIONS = {"f32": np.float32, "f64": np.float64}
+PRECISIONS = {"f32": np.float32, "f64": np.float64}
 _state = {"dtype": np.float32, "grad_enabled": True}
 
 
 def set_precision(mode: str) -> None:
     """Set the default scalar width ("f32" or "f64") for new tensors."""
-    if mode not in _PRECISIONS:
-        raise ContractError(f"unknown precision {mode!r}; expected one of {sorted(_PRECISIONS)}")
-    _state["dtype"] = _PRECISIONS[mode]
+    if mode not in PRECISIONS:
+        raise ContractError(f"unknown precision {mode!r}; expected one of {sorted(PRECISIONS)}")
+    _state["dtype"] = PRECISIONS[mode]
 
 
 def get_precision() -> str:
@@ -192,12 +192,6 @@ def add(a, b) -> Tensor:
             _accumulate(a, g)
             _accumulate(b, g)
 
-    elif b.data.ndim == 0 or a.data.ndim == 0:
-        # plain scalar shift
-        def _bw(g):
-            _accumulate(a, g if a.data.ndim else np.asarray(g.sum(), dtype=g.dtype))
-            _accumulate(b, g if b.data.ndim else np.asarray(g.sum(), dtype=g.dtype))
-
     elif a.data.ndim == 2 and b.data.ndim == 1 and b.data.shape[0] == a.data.shape[1]:
         # bias vector over matrix rows, the one permitted broadcast
         def _bw(g):
@@ -212,14 +206,12 @@ def add(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     a = _as_tensor(a)
     b = _as_tensor(b)
-    if a.data.shape != b.data.shape and a.data.ndim != 0 and b.data.ndim != 0:
+    if a.data.shape != b.data.shape:
         raise DimensionError(f"mul: incompatible shapes {a.data.shape} and {b.data.shape}")
 
     def _bw(g):
-        ga = g * b.data
-        gb = g * a.data
-        _accumulate(a, ga if a.data.ndim else np.asarray(ga.sum(), dtype=g.dtype))
-        _accumulate(b, gb if b.data.ndim else np.asarray(gb.sum(), dtype=g.dtype))
+        _accumulate(a, g * b.data)
+        _accumulate(b, g * a.data)
 
     return Tensor._result(a.data * b.data, (a, b), _bw)
 
@@ -411,9 +403,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor._result(out, (a, b), _bw)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    y = matmul(x, w)
-    return add(y, b) if b is not None else y
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    return add(matmul(x, w), b)
 
 
 def softmax_rows(x: Tensor) -> Tensor:
@@ -476,13 +467,14 @@ def unpack_rows(a: Tensor, slot: np.ndarray, heads: int = 1) -> Tensor:
     return Tensor._result(out, (a,), _bw)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+_LN_EPS = 1e-5  # added to each row's variance before the square root
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Per-row normalization to zero mean and unit variance, then affine."""
     x = _as_tensor(x)
     gamma = _as_tensor(gamma)
     beta = _as_tensor(beta)
-    if eps <= 0:
-        raise ContractError(f"layer_norm eps must be positive, got {eps}")
     if x.data.ndim != 2:
         raise DimensionError(f"layer_norm expects a matrix, got shape {x.data.shape}")
     c = x.data.shape[1]
@@ -493,7 +485,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     mu = x.data.mean(axis=1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _LN_EPS)
     y = xc * inv
     out = y * gamma.data + beta.data
 
@@ -608,9 +600,10 @@ def _run_chunks(fn, chunks: list[tuple[int, int]], handoff: bool) -> list:
     return [first] + [f.result() for f in futures]
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, pad: int = 0) -> Tensor:
-    """2-D convolution with a square kernel and zero padding, one output
-    cell per kernel position.
+def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """2-D convolution with a square kernel over the input bordered by one
+    cell of zeros, one output cell per kernel position (a 3x3 kernel keeps
+    the input's size), plus a bias per output channel.
 
     ``x`` is (batch, s1, s2, c_in); ``w`` is (k, k, c_in, c_out). Each
     frame chunk lowers to one matrix product over its unrolled patches; the
@@ -625,18 +618,15 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, pad: int = 0) -> Tenso
     k, k2, cin2, cout = w.data.shape
     if k != k2 or cin != cin2:
         raise DimensionError(f"conv2d: kernel {w.data.shape} does not match input {x.data.shape}")
-    if b is not None and b.data.shape != (cout,):
+    if b.data.shape != (cout,):
         raise DimensionError(f"conv2d bias must have shape ({cout},), got {b.data.shape}")
-    if pad < 0:
-        raise DimensionError(f"conv2d needs pad >= 0, got pad={pad}")
-    o1 = s1 + 2 * pad - k + 1
-    o2 = s2 + 2 * pad - k + 1
+    p1, p2 = s1 + 2, s2 + 2  # with the border
+    o1, o2 = p1 - k + 1, p2 - k + 1
     if o1 < 1 or o2 < 1:
-        raise DimensionError(f"conv2d: kernel {k} does not fit input {x.data.shape} with pad {pad}")
+        raise DimensionError(f"conv2d: kernel {k} does not fit input {x.data.shape} with its border")
 
     dtype = x.data.dtype
-    p1, p2 = s1 + 2 * pad, s2 + 2 * pad
-    xp = np.zeros((bsz, p1, p2, cin), dtype=dtype) if pad else x.data
+    xp = np.zeros((bsz, p1, p2, cin), dtype=dtype)
     # the unrolled patches, columns in (k, k, c_in) order
     mat = np.empty((bsz * o1 * o2, k * k * cin), dtype=dtype)
     wmat = w.data.reshape(k * k * cin, cout)
@@ -645,14 +635,12 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, pad: int = 0) -> Tenso
     chunks = _frame_chunks(bsz)
 
     def _fwd(lo, hi):
-        if pad:
-            xp[lo:hi, pad : pad + s1, pad : pad + s2] = x.data[lo:hi]
+        xp[lo:hi, 1 : 1 + s1, 1 : 1 + s2] = x.data[lo:hi]
         rows = slice(lo * cells, hi * cells)
         win = sliding_window_view(xp[lo:hi], (k, k), axis=(1, 2))
         mat[rows].reshape(hi - lo, o1, o2, k, k, cin)[...] = win.transpose(0, 1, 2, 4, 5, 3)
         np.matmul(mat[rows], wmat, out=out[rows])
-        if b is not None:
-            out[rows] += b.data
+        out[rows] += b.data
 
     _run_chunks(_fwd, chunks, out.nbytes >= _CONV_HANDOFF_BYTES)
     out = out.reshape(bsz, o1, o2, cout)
@@ -660,13 +648,13 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, pad: int = 0) -> Tenso
     def _bw(g):
         gm = g.reshape(bsz * o1 * o2, cout)
         w_grad = w.requires_grad
-        b_grad = b is not None and b.requires_grad
+        b_grad = b.requires_grad
         if x.requires_grad:
-            # the padded input gradient, its unpadded copy, and room for one
-            # kernel tap's product, which each chunk scatters back while it
-            # is in cache
+            # the bordered input gradient, its copy without the border, and
+            # room for one kernel tap's product, which each chunk scatters
+            # back while it is in cache
             dxp = np.zeros((bsz, p1, p2, cin), dtype=g.dtype)
-            dx = np.empty(x.data.shape, dtype=g.dtype) if pad else dxp
+            dx = np.empty(x.data.shape, dtype=g.dtype)
             tap = np.empty((bsz * cells, cin), dtype=g.dtype)
 
         def _bw_chunk(lo, hi):
@@ -678,8 +666,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, pad: int = 0) -> Tenso
                     for j in range(k):
                         np.matmul(gm[rows], w.data[i, j].T, out=tap[rows])
                         dxp[lo:hi, i : i + o1, j : j + o2, :] += tap[rows].reshape(hi - lo, o1, o2, cin)
-                if pad:
-                    dx[lo:hi] = dxp[lo:hi, pad : pad + s1, pad : pad + s2]
+                dx[lo:hi] = dxp[lo:hi, 1 : 1 + s1, 1 : 1 + s2]
             return gw, gb
 
         # without the input gradient, a chunk is one memory-bound weight GEMM,
@@ -695,8 +682,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, pad: int = 0) -> Tenso
         if x.requires_grad:
             _accumulate(x, dx, owned=True)
 
-    parents = (x, w) if b is None else (x, w, b)
-    return Tensor._result(out, parents, _bw)
+    return Tensor._result(out, (x, w, b), _bw)
 
 
 _POOL_SLICE_BYTES = 1 << 18  # max_pool2d output per batch slice, so its temporaries stay in cache

@@ -24,7 +24,6 @@ class TrainConfig:
     weight_decay: float = 5e-4
     lr_boundaries: tuple[int, int] | None = None  # None: thirds of the epoch budget
     seed: int = 0
-    precision: str = "f32"
     topk: int = 5
 
     def __post_init__(self):
@@ -36,8 +35,6 @@ class TrainConfig:
             raise ConfigError(f"momentum/weight_decay must be finite, got {self.momentum}/{self.weight_decay}")
         if self.topk < 1 or self.seed < 0:
             raise ConfigError(f"topk must be at least 1 and seed non-negative, got {self.topk}/{self.seed}")
-        if self.precision not in ("f32", "f64"):
-            raise ConfigError(f"unknown precision {self.precision!r}")
         if self.lr_boundaries is not None:
             b1, b2 = self.lr_boundaries
             if not 0 < b1 < b2:
@@ -158,8 +155,8 @@ def train_model(
     """Run epochs [start_epoch, stop_epoch) of the schedule and return one
     log line per epoch. The schedule always derives from the full epoch
     budget, so a resumed run continues exactly where an uninterrupted one
-    would be. Fixed seeds give bit-reproducible logs (use f64 to make
-    this exact across runs)."""
+    would be. Fixed seeds give bit-reproducible logs (build and train
+    the model inside ``precision("f64")`` to make this exact across runs)."""
     rng = np.random.default_rng(cfg.seed)
     params = model.parameters()
     state: dict = {}

@@ -44,14 +44,15 @@ def layer_norm_loops(x, gamma, beta, eps):
     return out
 
 
-def conv2d_loops(x, w, b=None, pad=0):
+def conv2d_loops(x, w, b):
+    # over the input bordered by one cell of zeros
     bsz, s1, s2, cin = x.shape
     k = w.shape[0]
     cout = w.shape[3]
-    o1 = s1 + 2 * pad - k + 1
-    o2 = s2 + 2 * pad - k + 1
-    xp = np.zeros((bsz, s1 + 2 * pad, s2 + 2 * pad, cin), dtype=np.float64)
-    xp[:, pad : pad + s1, pad : pad + s2, :] = x
+    o1 = s1 + 3 - k
+    o2 = s2 + 3 - k
+    xp = np.zeros((bsz, s1 + 2, s2 + 2, cin), dtype=np.float64)
+    xp[:, 1 : 1 + s1, 1 : 1 + s2, :] = x
     out = np.zeros((bsz, o1, o2, cout), dtype=np.float64)
     for n in range(bsz):
         for i in range(o1):
@@ -62,7 +63,7 @@ def conv2d_loops(x, w, b=None, pad=0):
                         for dj in range(k):
                             for ci in range(cin):
                                 acc += xp[n, i + di, j + dj, ci] * w[di, dj, ci, co]
-                    out[n, i, j, co] = acc + (b[co] if b is not None else 0.0)
+                    out[n, i, j, co] = acc + b[co]
     return out
 
 

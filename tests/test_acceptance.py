@@ -194,6 +194,6 @@ class TestAcceptance:
             for _ in range(2):
                 spec = tk.BackboneSpec(frames=4, size=16, channels=(4, 6, 8, 8))
                 model = tk.VideoClassifier(spec, tk.TroiConfig(), seed=9)
-                cfg = TrainConfig(epochs=2, batch_size=8, lr=0.02, seed=9, precision="f64")
+                cfg = TrainConfig(epochs=2, batch_size=8, lr=0.02, seed=9)
                 logs.append(train_model(model, train, val, cfg))
         report(8, "determinism", logs[0] == logs[1], f"({len(logs[0])} log lines compared)")

@@ -1,11 +1,14 @@
+import argparse
 import dataclasses
 import hashlib
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from troikit.cli import main
+import troikit.cli as cli
+from troikit.cli import build_parser, main
 from troikit.synth import load_dataset, save_dataset
 
 
@@ -182,6 +185,12 @@ class TestTrain:
         assert "per_class: expected int, got 'abc'" in capsys.readouterr().err
         cfg.write_text("lr = fast\n")
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "x.ckpt")]) == 2
+        # a number left unset would reach the checks as None
+        cfg.write_text("epochs = none\n")
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "x.ckpt")]) == 2
+        assert "epochs: expected int, got 'none'" in capsys.readouterr().err
+        cfg.write_text("points =\n")
+        assert main(["gradcheck", "--config", str(cfg), "--op", "matmul"]) == 2
 
     def test_non_finite_loss_exits_4(self, nan_data, tiny_data, tmp_path, capsys):
         assert main(
@@ -312,3 +321,155 @@ class TestAblate:
         table = (out_dir / "ablation.txt").read_text().splitlines()
         assert table[0].split() == ["placement", "layers", "val_top1", "val_topk"]
         assert len(table) == 7  # header + 3 placements x 2 depths
+
+
+# -- the command-line surface -------------------------------------------------
+
+_CORRUPT = ("iou@0.50", "iou@0.25", "iou@0.05", "drop-hands", "drop-objects", "drop-all")
+_FLAG = "flag"  # a store_true switch
+
+# sub-command -> option -> (dest, type, choices)
+SURFACE = {
+    "gen": {
+        "--out": ("out", str, None),
+        "--per-class": ("per_class", int, None),
+        "--classes": ("classes", int, None),
+        "--seed": ("seed", int, None),
+        "--frames": ("frames", int, None),
+        "--size": ("size", int, None),
+        "--force": ("force", _FLAG, None),
+    },
+    "train": {
+        "--data": ("data", str, None),
+        "--val-data": ("val_data", str, None),
+        "--out": ("out", str, None),
+        "--log": ("log", str, None),
+        "--epochs": ("epochs", int, None),
+        "--batch-size": ("batch_size", int, None),
+        "--lr": ("lr", float, None),
+        "--momentum": ("momentum", float, None),
+        "--weight-decay": ("weight_decay", float, None),
+        "--lr-boundaries": ("lr_boundaries", str, None),
+        "--seed": ("seed", int, None),
+        "--precision": ("precision", str, ("f32", "f64")),
+        "--topk": ("topk", int, None),
+        "--channels": ("channels", str, None),
+        "--no-troi": ("no_troi", _FLAG, None),
+        "--troi-at": ("troi_at", str, ("conv3", "conv4", "conv5")),
+        "--troi-layers": ("troi_layers", int, None),
+        "--heads": ("heads", int, None),
+        "--variant": ("variant", str, None),
+        "--ordering": ("ordering", str, ("left-right", "right-left")),
+        "--resume": ("resume", _FLAG, None),
+    },
+    "eval": {
+        "--data": ("data", str, None),
+        "--checkpoint": ("checkpoint", str, None),
+        "--model-config": ("model_config", str, None),
+        "--corrupt": ("corrupt", str, _CORRUPT),
+        "--topk": ("topk", int, None),
+        "--batch-size": ("batch_size", int, None),
+    },
+    "ablate": {
+        "--data": ("data", str, None),
+        "--val-data": ("val_data", str, None),
+        "--out-dir": ("out_dir", str, None),
+        "--epochs": ("epochs", int, None),
+        "--batch-size": ("batch_size", int, None),
+        "--lr": ("lr", float, None),
+        "--seed": ("seed", int, None),
+        "--heads": ("heads", int, None),
+    },
+    "gradcheck": {
+        "--op": ("op", str, None),
+        "--points": ("points", int, None),
+        "--tol": ("tol", float, None),
+        "--seed": ("seed", int, None),
+        "--perturb": ("perturb", float, None),
+    },
+}
+
+
+def parser_surface():
+    """sub-command -> option -> (dest, type, choices), read from the parser;
+    --config and --help are left out, as every sub-command has them."""
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    surface = {}
+    for name, sub in commands.choices.items():
+        options = {}
+        for action in sub._actions:
+            option = action.option_strings[-1]
+            if option in ("--help", "--config"):
+                continue
+            if isinstance(action, argparse._StoreTrueAction):
+                kind = _FLAG
+            else:
+                kind = action.type or str  # argparse keeps an untyped value as its string
+            assert action.default is None, f"{name} {option}: a flag default would hide the config file"
+            options[option] = (action.dest, kind, None if action.choices is None else tuple(action.choices))
+        surface[name] = options
+    return surface
+
+
+class TestSurface:
+    def test_flags_dests_types_and_choices(self):
+        assert parser_surface() == SURFACE
+        assert sum(len(options) for options in SURFACE.values()) == 47
+
+    @pytest.mark.parametrize("command", sorted(SURFACE))
+    def test_every_flag_is_a_config_key(self, command, tmp_path, capsys):
+        defaults = getattr(cli, f"{command.upper()}_DEFAULTS")
+        cfg = tmp_path / "all.cfg"
+        cfg.write_text("".join(f"{dest} = {defaults[dest]}\n" for dest, _, _ in SURFACE[command].values()))
+        if command == "gradcheck":  # nothing is required, so check one op once
+            assert main([command, "--config", str(cfg), "--op", "matmul", "--points", "1"]) == 0
+        else:  # paths default to None, so the first complaint is a missing required option
+            assert main([command, "--config", str(cfg)]) == 2
+            assert "missing required option" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, line", [("eval", "corrupt = smear"), ("train", "precision = f16"), ("train", "troi_at = conv7")]
+    )
+    def test_config_file_values_keep_to_the_flag_choices(self, command, line, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        assert main([command, "--config", str(cfg)]) == 2
+        assert f"{line.split()[0]} must be one of" in capsys.readouterr().err
+
+    def test_sidecar_feeds_back_through_config(self, trained, tmp_path, capsys):
+        copy = tmp_path / "copy.ckpt"
+        shutil.copy(trained, copy)
+        shutil.copy(str(trained) + ".log", str(copy) + ".log")
+        # the sidecar names the run's data and out; the flags move the output to the copy
+        assert main(["train", "--config", str(trained) + ".cfg", "--out", str(copy), "--resume"]) == 0
+        assert "nothing to do" in capsys.readouterr().out
+
+        def keys(path):
+            return [line.split(" = ")[0] for line in Path(path).read_text().splitlines()]
+
+        assert keys(str(copy) + ".cfg") == keys(str(trained) + ".cfg")
+
+
+class TestPrecisionFlag:
+    def test_f64_trains_and_evaluates_in_f64(self, tiny_data, tmp_path, monkeypatch, capsys):
+        seen = {}
+
+        def spy(name, fn):
+            def wrapped(model, *args, **kwargs):
+                seen[name] = {p.data.dtype for _, p in model.parameters()}
+                return fn(model, *args, **kwargs)
+
+            monkeypatch.setattr(cli, name, wrapped)
+
+        spy("train_model", cli.train_model)
+        spy("evaluate", cli.evaluate)
+        ckpt = tmp_path / "f64.ckpt"
+        assert main(
+            ["train", "--data", str(tiny_data / "train"), "--val-data", str(tiny_data / "val"),
+             "--out", str(ckpt), "--epochs", "1", "--batch-size", "6", "--channels", "4,6,8,8",
+             "--precision", "f64"]
+        ) == 0
+        assert seen == {"train_model": {np.dtype(np.float64)}}
+        assert "precision = f64" in Path(str(ckpt) + ".cfg").read_text()
+        assert main(["eval", "--data", str(tiny_data / "val"), "--checkpoint", str(ckpt)]) == 0
+        assert seen["evaluate"] == {np.dtype(np.float64)}

@@ -83,8 +83,6 @@ class TestSchedule:
             TrainConfig(lr=0.0)
         with pytest.raises(ConfigError):
             TrainConfig(lr_boundaries=(5, 5))
-        with pytest.raises(ConfigError):
-            TrainConfig(precision="f16")
 
     @pytest.mark.parametrize(
         "field, value",
@@ -187,13 +185,13 @@ class TestTrainLoop:
             logs = []
             for _ in range(2):
                 model, train, val = small_setup()
-                cfg = TrainConfig(epochs=2, batch_size=6, lr=0.02, seed=5, precision="f64")
+                cfg = TrainConfig(epochs=2, batch_size=6, lr=0.02, seed=5)
                 logs.append(train_model(model, train, val, cfg))
             assert logs[0] == logs[1]
 
     def test_resume_lines_up_with_uninterrupted_run(self):
         with precision("f64"):
-            cfg = TrainConfig(epochs=3, batch_size=6, lr=0.02, seed=2, precision="f64")
+            cfg = TrainConfig(epochs=3, batch_size=6, lr=0.02, seed=2)
             model, train, val = small_setup()
             full = train_model(model, train, val, cfg)
 
