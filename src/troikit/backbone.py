@@ -36,10 +36,7 @@ from .tensor import (
     write_tensor,
     zeros_param,
 )
-from .troi import TroiConfig, TroiModule
-
-# stage index after which each named insertion point sits
-INSERT_STAGE = {"conv3": 1, "conv4": 2, "conv5": 3}
+from .troi import INSERT_STAGE, TroiConfig, TroiModule
 
 CHECKPOINT_MAGIC = b"TROICKP1"
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import sys
 from pathlib import Path
 
@@ -28,15 +29,21 @@ from .tensor import PRECISIONS, precision
 from .train import TrainConfig, completed_epochs, evaluate, train_model
 from .troi import INSERTION_POINTS, TroiConfig
 
+
+def _default(func, name: str):
+    return inspect.signature(func).parameters[name].default
+
+
 # Each table maps an option to its default; the type of the default is the
-# option's type (None: a string), and a bool is a switch.
+# option's type (None: a string), and a bool is a switch. A default that the
+# library also uses is read from the library, so the two cannot drift apart.
 GEN_DEFAULTS = {
     "out": None,
     "per_class": 100,
-    "classes": 6,
+    "classes": len(CLASSES),
     "seed": 7,
-    "frames": 8,
-    "size": 32,
+    "frames": _default(build_dataset, "frames"),
+    "size": _default(build_dataset, "size"),
     "force": False,
 }
 
@@ -45,35 +52,37 @@ TRAIN_DEFAULTS = {
     "val_data": None,
     "out": None,
     "log": None,
-    "epochs": 20,
-    "batch_size": 16,
-    "lr": 0.01,
-    "momentum": 0.9,
-    "weight_decay": 5e-4,
-    "lr_boundaries": None,
-    "seed": 0,
+    "epochs": TrainConfig.epochs,
+    "batch_size": TrainConfig.batch_size,
+    "lr": TrainConfig.lr,
+    "momentum": TrainConfig.momentum,
+    "weight_decay": TrainConfig.weight_decay,
+    "lr_boundaries": TrainConfig.lr_boundaries,
+    "seed": TrainConfig.seed,
     "precision": "f32",
-    "topk": 5,
-    "channels": "16,32,64,64",
+    "topk": TrainConfig.topk,
+    "channels": ",".join(str(c) for c in BackboneSpec.channels),
     "no_troi": False,
-    "troi_at": "conv4",
-    "troi_layers": 1,
-    "heads": 2,
-    "variant": "none",
-    "ordering": "left-right",
+    "troi_at": TroiConfig.insert_at,
+    "troi_layers": TroiConfig.layers,
+    "heads": TroiConfig.heads,
+    "variant": TroiConfig().variants(),
+    "ordering": TroiConfig.ordering,
     "resume": False,
 }
 
 # a train sidecar also records the data shape, so eval can rebuild the model
-_SIDECAR_DEFAULTS = {**TRAIN_DEFAULTS, "frames": 8, "size": 32, "num_classes": 6}
+_SIDECAR_DEFAULTS = dict(
+    TRAIN_DEFAULTS, frames=BackboneSpec.frames, size=BackboneSpec.size, num_classes=BackboneSpec.classes
+)
 
 EVAL_DEFAULTS = {
     "data": None,
     "checkpoint": None,
     "model_config": None,
     "corrupt": None,
-    "topk": 5,
-    "batch_size": 32,
+    "topk": _default(evaluate, "k"),
+    "batch_size": _default(evaluate, "batch_size"),
 }
 
 ABLATE_DEFAULTS = {
@@ -81,19 +90,13 @@ ABLATE_DEFAULTS = {
     "val_data": None,
     "out_dir": None,
     "epochs": 8,
-    "batch_size": 16,
-    "lr": 0.01,
-    "seed": 0,
-    "heads": 2,
+    "batch_size": TrainConfig.batch_size,
+    "lr": TrainConfig.lr,
+    "seed": TrainConfig.seed,
+    "heads": TroiConfig.heads,
 }
 
-GRADCHECK_DEFAULTS = {
-    "op": None,
-    "points": 10,
-    "tol": 1e-4,
-    "seed": 0,
-    "perturb": 0.0,
-}
+GRADCHECK_DEFAULTS = {"op": None, **{k: _default(run_checks, k) for k in ("points", "tol", "seed", "perturb")}}
 
 # the values an option may take, wherever it is set
 CHOICES = {
@@ -123,8 +126,12 @@ def _read_config(path, known: dict) -> dict:
     path = Path(path)
     if not path.exists():
         raise DataError(f"config file {path} does not exist")
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text ({exc})") from None
     entries = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -218,13 +225,16 @@ def _dataset_shape(videos):
     return frames, size, max(num_classes, 2)
 
 
-def _write_sidecar(path, cfg: dict, frames: int, size: int, num_classes: int) -> None:
-    values = dict(cfg)
-    if isinstance(values.get("lr_boundaries"), tuple):
-        values["lr_boundaries"] = ",".join(str(b) for b in values["lr_boundaries"])
-    lines = [f"{key} = {values[key]}" for key in TRAIN_DEFAULTS]
-    lines += [f"frames = {frames}", f"size = {size}", f"num_classes = {num_classes}"]
-    Path(path).write_text("\n".join(lines) + "\n")
+def _write_sidecar(path, cfg: dict) -> None:
+    # parsed lists (lr_boundaries, channels) go back to the comma form they were read in
+    values = {key: ",".join(map(str, v)) if isinstance(v, tuple) else v for key, v in cfg.items()}
+    Path(path).write_text("".join(f"{key} = {values[key]}\n" for key in _SIDECAR_DEFAULTS))
+
+
+def _model(cfg: dict) -> VideoClassifier:
+    """The untrained model a parsed train config or sidecar describes."""
+    spec = BackboneSpec(frames=cfg["frames"], size=cfg["size"], channels=cfg["channels"], classes=cfg["num_classes"])
+    return VideoClassifier(spec, _troi_config(cfg), seed=cfg["seed"])
 
 
 # ---------------------------------------------------------------------------
@@ -248,26 +258,25 @@ def cmd_train(args) -> int:
     # straight back in; the actual shape always comes from the dataset
     cfg = _merge(_SIDECAR_DEFAULTS, args, required=("data", "val_data", "out"))
     cfg["lr_boundaries"] = _parse_boundaries(cfg["lr_boundaries"])
-    channels = _parse_channels(cfg["channels"])
+    cfg["channels"] = _parse_channels(cfg["channels"])
     tcfg = _train_config(cfg)
     train_videos = load_dataset(cfg["data"])
     val_videos = load_dataset(cfg["val_data"])
-    frames, size, num_classes = _dataset_shape(train_videos)
+    cfg["frames"], cfg["size"], cfg["num_classes"] = _dataset_shape(train_videos)
 
     log_path = cfg["log"] or str(cfg["out"]) + ".log"
     for target in (cfg["out"], log_path):
         Path(target).parent.mkdir(parents=True, exist_ok=True)
     start_epoch = 0
     with precision(cfg["precision"]):
-        spec = BackboneSpec(frames=frames, size=size, channels=channels, classes=num_classes)
-        model = VideoClassifier(spec, _troi_config(cfg), seed=cfg["seed"])
+        model = _model(cfg)
         if cfg["resume"] and Path(cfg["out"]).exists():
             load_checkpoint(cfg["out"], model)
             start_epoch = completed_epochs(log_path)
             print(f"resuming from epoch {start_epoch}")
         elif not cfg["resume"]:
             Path(log_path).unlink(missing_ok=True)
-        _write_sidecar(str(cfg["out"]) + ".cfg", cfg, frames, size, num_classes)
+        _write_sidecar(str(cfg["out"]) + ".cfg", cfg)
         if start_epoch >= cfg["epochs"]:
             print("nothing to do: training already complete")
             return 0
@@ -286,18 +295,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _model_from_sidecar(sidecar: dict, ckpt_path) -> VideoClassifier:
-    spec = BackboneSpec(
-        frames=sidecar["frames"],
-        size=sidecar["size"],
-        channels=_parse_channels(sidecar["channels"]),
-        classes=sidecar["num_classes"],
-    )
-    model = VideoClassifier(spec, _troi_config(sidecar), seed=sidecar["seed"])
-    load_checkpoint(ckpt_path, model)
-    return model
-
-
 def cmd_eval(args) -> int:
     cfg = _merge(EVAL_DEFAULTS, args, required=("data", "checkpoint"))
     ckpt = Path(cfg["checkpoint"])
@@ -305,9 +302,11 @@ def cmd_eval(args) -> int:
         raise DataError(f"checkpoint {ckpt} does not exist")
     sidecar_path = cfg["model_config"] or str(ckpt) + ".cfg"
     sidecar = {**_SIDECAR_DEFAULTS, **_read_config(sidecar_path, _SIDECAR_DEFAULTS)}
+    sidecar["channels"] = _parse_channels(sidecar["channels"])
     videos = load_dataset(cfg["data"])
     with precision(sidecar["precision"]):
-        model = _model_from_sidecar(sidecar, ckpt)
+        model = _model(sidecar)
+        load_checkpoint(ckpt, model)
         metrics = evaluate(model, videos, k=cfg["topk"], corrupt=cfg["corrupt"], batch_size=cfg["batch_size"])
     mode = cfg["corrupt"] or "none"
     print(f"videos={len(videos)} corrupt={mode}")
@@ -401,18 +400,11 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (TroikitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DataError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except TroikitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if isinstance(exc, (DataError, OSError)):
+            return 3
+        return 4 if isinstance(exc, NumericError) else 2
 
 
 if __name__ == "__main__":

@@ -388,16 +388,20 @@ def save_dataset(directory, videos, force: bool = False) -> Path:
 
 
 def load_dataset(directory) -> list[SynthVideo]:
-    """Round-trips save_dataset bit-exactly (seeds are not stored). A
-    malformed manifest line, or one naming a file outside the directory,
-    is a DataError."""
+    """Round-trips save_dataset bit-exactly (seeds are not stored). A manifest
+    that is not UTF-8 or lists no video, a malformed line, a file outside the
+    directory, or a video unlike the first or not (T, S, S, 3) is a DataError."""
     directory = Path(directory)
     manifest = directory / MANIFEST_NAME
     if not manifest.exists():
         raise DataError(f"no manifest at {manifest}")
+    try:
+        text = manifest.read_text()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{manifest} is not UTF-8 text ({exc})") from None
     root = directory.resolve()
     videos = []
-    for lineno, line in enumerate(manifest.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         where = f"{manifest}, line {lineno}"
@@ -420,7 +424,11 @@ def load_dataset(directory) -> list[SynthVideo]:
             raise DataError(f"{where}: malformed box list ({exc})") from None
         with open(path, "rb") as fh:
             data = read_tensor(fh)
-        if data.ndim != 4 or data.shape[0] != frames:
-            raise DataError(f"{fname}: stored shape {data.shape} does not match manifest")
+        if data.ndim != 4 or data.shape != (frames, data.shape[1], data.shape[1], 3):
+            raise DataError(f"{fname}: stored shape {data.shape} is not the manifest's ({frames}, S, S, 3)")
+        if videos and data.shape != videos[0].frames.shape:
+            raise DataError(f"{fname}: stored shape {data.shape} differs from the first video's {videos[0].frames.shape}")
         videos.append(SynthVideo(data, rois, label, 0))
+    if not videos:
+        raise DataError(f"{manifest} lists no videos")
     return videos

@@ -10,7 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from .backbone import VideoClassifier, save_checkpoint
-from .errors import ConfigError, ContractError, NumericError
+from .errors import ConfigError, ContractError, DataError, NumericError
 from .synth import SynthVideo, corrupt_rois
 from .tensor import Tensor, backward, cross_entropy, no_grad, zero_grad
 
@@ -52,7 +52,7 @@ def lr_at(epoch: int, cfg: TrainConfig) -> float:
     return cfg.lr / 100.0
 
 
-def sgd_step(params, state: dict, lr: float, momentum: float = 0.9, weight_decay: float = 5e-4) -> None:
+def sgd_step(params, state: dict, lr: float, momentum: float, weight_decay: float) -> None:
     """v <- momentum*v + (grad + decay*theta); theta <- theta - lr*v."""
     velocity = state.get("velocity")
     if velocity is None:
@@ -90,7 +90,8 @@ def evaluate(
 ) -> dict:
     """Top-1 / top-k plus a per-class breakdown. Argmax ties go to the
     lowest index, so the result is deterministic. A non-finite logit has
-    no rank, so it raises ``NumericError`` instead of being scored."""
+    no rank, so it raises ``NumericError``; a label outside the model's
+    classes raises ``DataError``."""
     if not videos:
         raise ContractError("evaluate needs a non-empty dataset")
     if k < 1 or batch_size < 1:
@@ -103,18 +104,18 @@ def evaluate(
     with no_grad():
         for idx in _batches(len(videos), batch_size, order):
             logits, labels = _forward_batch(model, videos, idx, corrupt)
+            labels = np.asarray(labels)
+            bad = np.flatnonzero((labels < 0) | (labels >= classes))
+            if bad.size:
+                raise DataError(f"video {idx[bad[0]]} has label {labels[bad[0]]}; the model has {classes} classes")
             scores = logits.data
             finite = np.isfinite(scores).all(axis=1)
             if not finite.all():
                 raise NumericError(f"non-finite logit for video {idx[np.argmin(finite)]} of the evaluated set")
-            pred = scores.argmax(axis=1)
             ranked = np.argsort(-scores, axis=1, kind="stable")[:, :k]
-            for row, label in enumerate(labels):
-                totals[label] += 1
-                if pred[row] == label:
-                    hits1[label] += 1
-                if label in ranked[row]:
-                    hitsk[label] += 1
+            totals += np.bincount(labels, minlength=classes)
+            hits1 += np.bincount(labels[scores.argmax(axis=1) == labels], minlength=classes)
+            hitsk += np.bincount(labels[(ranked == labels[:, None]).any(axis=1)], minlength=classes)
     per_class = {c: float(hits1[c] / totals[c]) if totals[c] else 0.0 for c in range(classes)}
     return {
         "top1": float(hits1.sum() / totals.sum()),

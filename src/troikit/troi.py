@@ -20,7 +20,9 @@ from .posenc import ORDERINGS, CoordEncoder, encoding_matrix, order_rois
 from .rois import RoiBox, extract_features, write_back
 from .tensor import Tensor, add, concat_axis0, reduce_max, reshape, slice_axis0
 
-INSERTION_POINTS = ("conv3", "conv4", "conv5")
+# backbone stage index after which each named insertion point sits
+INSERT_STAGE = {"conv3": 1, "conv4": 2, "conv5": 3}
+INSERTION_POINTS = tuple(INSERT_STAGE)
 
 
 @dataclass(frozen=True)

@@ -149,7 +149,7 @@ def _two_training_steps(mode):
             batch = videos[start : start + 16]
             logits = model.forward_batch(Tensor(np.stack([v.frames for v in batch])), [v.rois for v in batch])
             backward(cross_entropy(logits, [v.label for v in batch]))
-            sgd_step(params, state, lr=0.05)
+            sgd_step(params, state, lr=0.05, momentum=0.9, weight_decay=5e-4)
             zero_grad([p for _, p in params])
         return [p.data.tobytes() for _, p in params]
 

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import hashlib
+import inspect
 import shutil
 from pathlib import Path
 
@@ -8,8 +9,12 @@ import numpy as np
 import pytest
 
 import troikit.cli as cli
+from troikit.backbone import BackboneSpec
 from troikit.cli import build_parser, main
-from troikit.synth import load_dataset, save_dataset
+from troikit.gradcheck import OpCheck, run_checks
+from troikit.synth import CLASSES, build_dataset, load_dataset, save_dataset
+from troikit.train import TrainConfig, evaluate
+from troikit.troi import INSERTION_POINTS, TroiConfig
 
 
 def dir_digest(path):
@@ -321,6 +326,117 @@ class TestAblate:
         table = (out_dir / "ablation.txt").read_text().splitlines()
         assert table[0].split() == ["placement", "layers", "val_top1", "val_topk"]
         assert len(table) == 7  # header + 3 placements x 2 depths
+
+
+class TestBadInput:
+    """Each ends in its documented exit code with a one-line error, not a traceback."""
+
+    @pytest.fixture
+    def empty_data(self, tmp_path):
+        (tmp_path / "empty").mkdir()
+        (tmp_path / "empty" / "manifest.txt").write_text("\n")
+        return tmp_path / "empty"
+
+    def test_empty_manifest_exits_3_in_train(self, empty_data, tiny_data, tmp_path, capsys):
+        # this used to be an IndexError when the data shape was read off the first video
+        assert main(
+            ["train", "--data", str(empty_data), "--val-data", str(tiny_data / "val"),
+             "--out", str(tmp_path / "x.ckpt")]
+        ) == 3
+        assert "lists no videos" in capsys.readouterr().err
+
+    def test_empty_manifest_exits_3_in_eval(self, empty_data, trained, capsys):
+        assert main(["eval", "--data", str(empty_data), "--checkpoint", str(trained)]) == 3
+        assert "lists no videos" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, code", [("config", 2), ("sidecar", 2), ("manifest", 3)])
+    def test_bytes_that_are_not_utf8_exit_with_the_files_code(self, kind, code, tiny_data, trained, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(tiny_data / "val", data)
+        bad = data / "manifest.txt" if kind == "manifest" else tmp_path / f"{kind}.cfg"
+        bad.write_bytes(b"epochs = 1\n\xff\xfe\n")
+        if kind == "sidecar":
+            argv = ["eval", "--data", str(data), "--checkpoint", str(trained), "--model-config", str(bad)]
+        else:
+            argv = ["train", "--data", str(data), "--val-data", str(data), "--out", str(tmp_path / "x.ckpt")]
+            argv += ["--config", str(bad)] if kind == "config" else []
+        assert main(argv) == code
+        assert f"{bad} is not UTF-8 text" in capsys.readouterr().err
+
+    def test_val_labels_outside_the_trained_classes_exit_3(self, tiny_data, tmp_path, capsys):
+        two = tmp_path / "two"
+        assert main(["gen", "--out", str(two), "--classes", "2", "--per-class", "2", "--frames", "4", "--size", "16"]) == 0
+        assert main(
+            ["train", "--data", str(two), "--val-data", str(tiny_data / "val"), "--out", str(tmp_path / "x.ckpt"),
+             "--epochs", "1", "--channels", "4,6,8,8"]
+        ) == 3
+        assert "the model has 2 classes" in capsys.readouterr().err
+
+
+class TestDefaults:
+    """A command given only its required flags runs the library's defaults."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {}
+
+        def record(name, result, real):
+            def fake(*args, **kwargs):
+                calls.setdefault(name, []).append(inspect.signature(real).bind(*args, **kwargs).arguments)
+                return result
+
+            monkeypatch.setattr(cli, name, fake)
+
+        record("train_model", [], cli.train_model)
+        record("evaluate", {"top1": 0.0, "topk": 0.0, "per_class": {}}, evaluate)
+        record("run_checks", [OpCheck("matmul", True, 0.0, 1, 1)], run_checks)
+        record("build_dataset", [], build_dataset)
+        return calls
+
+    @staticmethod
+    def assert_keyword_defaults(func, arguments):
+        for name, param in inspect.signature(func).parameters.items():
+            if param.default is not param.empty:
+                assert arguments.get(name, param.default) == param.default, name
+
+    def test_train(self, calls, tiny_data, tmp_path):
+        assert main(["train", "--data", str(tiny_data / "train"), "--val-data", str(tiny_data / "val"),
+                     "--out", str(tmp_path / "x.ckpt")]) == 0
+        (run,) = calls["train_model"]
+        assert run["cfg"] == TrainConfig()
+        assert run["model"].troi_config == TroiConfig()
+        assert run["model"].spec.channels == BackboneSpec.channels
+
+    def test_eval(self, calls, tiny_data, trained):
+        assert main(["eval", "--data", str(tiny_data / "val"), "--checkpoint", str(trained)]) == 0
+        (run,) = calls["evaluate"]
+        self.assert_keyword_defaults(evaluate, run)
+
+    def test_ablate(self, calls, tiny_data, tmp_path):
+        assert main(["ablate", "--data", str(tiny_data / "train"), "--val-data", str(tiny_data / "val"),
+                     "--out-dir", str(tmp_path / "ablation")]) == 0
+        runs = calls["train_model"]
+        assert [(r["model"].troi_config.insert_at, r["model"].troi_config.layers) for r in runs] == [
+            (placement, layers) for placement in INSERTION_POINTS for layers in (1, 2)
+        ]
+        for run in runs:
+            assert run["cfg"] == dataclasses.replace(TrainConfig(), epochs=cli.ABLATE_DEFAULTS["epochs"])
+            troi = run["model"].troi_config
+            assert troi == dataclasses.replace(TroiConfig(), insert_at=troi.insert_at, layers=troi.layers)
+            assert run["model"].spec.channels == BackboneSpec.channels
+        for run in calls["evaluate"]:
+            self.assert_keyword_defaults(evaluate, run)
+
+    def test_gradcheck(self, calls):
+        assert main(["gradcheck"]) == 0
+        (run,) = calls["run_checks"]
+        self.assert_keyword_defaults(run_checks, run)
+
+    def test_gen(self, calls, tmp_path):
+        assert main(["gen", "--out", str(tmp_path / "d")]) == 0
+        (run,) = calls["build_dataset"]
+        assert run["classes"] == CLASSES
+        self.assert_keyword_defaults(build_dataset, run)
 
 
 # -- the command-line surface -------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -337,6 +338,23 @@ class TestDiskFormat:
         lines[0] = "\t".join(edit(lines[0].split("\t")))
         manifest.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError, match=message):
+            load_dataset(tmp_path / "ds")
+
+    @pytest.mark.parametrize(
+        "second",
+        [
+            lambda frames: np.zeros((frames.shape[0], 32, 32, 3), frames.dtype),  # a larger side
+            lambda frames: frames[:, :, :8],  # not square
+            lambda frames: frames[..., :1],  # one channel
+        ],
+        ids=["other-size", "not-square", "one-channel"],
+    )
+    def test_video_unlike_the_first_is_data_error(self, tmp_path, second):
+        # a batch of mixed shapes used to reach np.stack in training as a raw ValueError
+        videos = build_dataset(5, per_class=1, frames=4, size=16)
+        videos[1] = dataclasses.replace(videos[1], frames=second(videos[1].frames))
+        save_dataset(tmp_path / "ds", videos)
+        with pytest.raises(DataError, match="00001.bin: stored shape"):
             load_dataset(tmp_path / "ds")
 
     def test_manifest_is_text_records(self, tmp_path):

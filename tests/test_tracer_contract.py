@@ -42,7 +42,7 @@ def test_one_traced_step_reports_every_declared_layer_metric():
         tracer.begin_step()
         logits, labels = train._forward_batch(model, videos, np.arange(len(videos)))
         train.backward(train.cross_entropy(logits, labels))
-        train.sgd_step(params, {}, 0.01)
+        train.sgd_step(params, {}, 0.01, momentum=0.9, weight_decay=5e-4)
         train.zero_grad([p for _, p in params])
         tracer.end_step()
     metrics = tracing.layer_metrics(tracer)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import troikit as tk
-from troikit.errors import ConfigError, ContractError, NumericError
+from troikit.errors import ConfigError, ContractError, DataError, NumericError
 from troikit.tensor import Tensor, precision
 from troikit.train import (
     TrainConfig,
@@ -56,7 +56,7 @@ class TestSgdStep:
     def test_missing_gradient_rejected(self):
         theta = Tensor([1.0], requires_grad=True)
         with pytest.raises(ContractError, match="gradient"):
-            sgd_step([("theta", theta)], {}, lr=0.1)
+            sgd_step([("theta", theta)], {}, lr=0.1, momentum=0.9, weight_decay=0.0)
 
 
 class TestSchedule:
@@ -153,6 +153,33 @@ class TestEvaluate:
         # k=-1 would report a top-(K-1) accuracy, batch_size=0 a raw ValueError
         with pytest.raises(ConfigError, match="at least 1"):
             evaluate(_StubModel(6, lambda: np.zeros(6)), tiny_videos([0, 1]), k=k, batch_size=batch_size)
+
+    @pytest.mark.parametrize("label", [2, -1])
+    def test_label_outside_the_models_classes_is_data_error(self, label):
+        # label 2 used to raise a raw IndexError, and -1 was counted as the last class
+        with pytest.raises(DataError, match=f"video 2 has label {label}; the model has 2 classes"):
+            evaluate(_StubModel(2, lambda: np.zeros(2)), tiny_videos([0, 1, label, 0]), batch_size=2)
+
+    def test_counts_match_a_per_video_loop(self):
+        rng = np.random.default_rng(3)
+        labels = rng.integers(0, 6, size=23).tolist()
+        rows = []
+
+        class Recorded(_StubModel):
+            def forward_batch(self, vids, rois, record_attention=None):
+                # integer logits make ties, which go to the lowest index in both
+                batch = rng.integers(0, 3, size=(vids.data.shape[0], 6)).astype(np.float64)
+                rows.extend(batch)
+                return Tensor(batch)
+
+        metrics = evaluate(Recorded(6, None), tiny_videos(labels), k=2, batch_size=5)
+        hits1, hitsk, totals = np.zeros(6), np.zeros(6), np.zeros(6)
+        for label, row in zip(labels, rows):
+            totals[label] += 1
+            hits1[label] += int(np.argmax(row)) == label
+            hitsk[label] += label in np.argsort(-row, kind="stable")[:2]
+        assert metrics["top1"] == hits1.sum() / 23 and metrics["topk"] == hitsk.sum() / 23
+        assert metrics["per_class"] == {c: hits1[c] / totals[c] if totals[c] else 0.0 for c in range(6)}
 
 
 class TestLogLines:
