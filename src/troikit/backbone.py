@@ -124,8 +124,6 @@ class VideoClassifier:
 
     def forward(self, video: Tensor, rois: Sequence[RoiBox]) -> Tensor:
         """(T, S, S, 3) video to (classes,) logits."""
-        if not isinstance(video, Tensor):
-            video = Tensor(video)
         batched = reshape(video, (1,) + video.data.shape)
         return reshape(self.forward_batch(batched, [rois]), (self.spec.classes,))
 
@@ -186,7 +184,7 @@ def save_checkpoint(path, model: VideoClassifier) -> None:
         params = model.parameters()
         fh.write(struct.pack("<I", len(params)))
         for _, p in params:
-            write_tensor(fh, p)
+            write_tensor(fh, p.data)
 
 
 def _read_exact(fh, size: int, what: str) -> bytes:

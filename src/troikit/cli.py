@@ -26,7 +26,7 @@ from .gradcheck import ALL_OPS, format_report, run_checks
 from .posenc import ORDERINGS
 from .synth import CLASSES, CORRUPT_MODES, build_dataset, load_dataset, save_dataset
 from .tensor import PRECISIONS, precision
-from .train import TrainConfig, completed_epochs, evaluate, train_model
+from .train import TrainConfig, completed_epochs, evaluate, parse_log_line, train_model
 from .troi import INSERTION_POINTS, TroiConfig
 
 
@@ -225,6 +225,18 @@ def _dataset_shape(videos):
     return frames, size, max(num_classes, 2)
 
 
+def _check_val(val_videos, train_videos, num_classes: int) -> None:
+    """Reject a validation set that the model could not evaluate, before any
+    file is written or epoch run. ``load_dataset`` gives every video of a set
+    its first video's shape, so one comparison covers the set."""
+    shape, train_shape = val_videos[0].frames.shape, train_videos[0].frames.shape
+    if shape != train_shape:
+        raise DataError(f"val videos have shape {shape}; the training videos have {train_shape}")
+    for i, v in enumerate(val_videos):
+        if v.label >= num_classes:
+            raise DataError(f"val video {i} has label {v.label}; the model has {num_classes} classes")
+
+
 def _write_sidecar(path, cfg: dict) -> None:
     # parsed lists (lr_boundaries, channels) go back to the comma form they were read in
     values = {key: ",".join(map(str, v)) if isinstance(v, tuple) else v for key, v in cfg.items()}
@@ -263,6 +275,7 @@ def cmd_train(args) -> int:
     train_videos = load_dataset(cfg["data"])
     val_videos = load_dataset(cfg["val_data"])
     cfg["frames"], cfg["size"], cfg["num_classes"] = _dataset_shape(train_videos)
+    _check_val(val_videos, train_videos, cfg["num_classes"])
 
     log_path = cfg["log"] or str(cfg["out"]) + ".log"
     for target in (cfg["out"], log_path):
@@ -322,6 +335,7 @@ def cmd_ablate(args) -> int:
     train_videos = load_dataset(cfg["data"])
     val_videos = load_dataset(cfg["val_data"])
     frames, size, num_classes = _dataset_shape(train_videos)
+    _check_val(val_videos, train_videos, num_classes)
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -332,10 +346,10 @@ def cmd_ablate(args) -> int:
             spec = BackboneSpec(frames=frames, size=size, classes=num_classes)
             troi = TroiConfig(insert_at=placement, layers=layers, heads=cfg["heads"])
             model = VideoClassifier(spec, troi, seed=cfg["seed"])
-            train_model(model, train_videos, val_videos, tcfg)
-            metrics = evaluate(model, val_videos)
-            rows.append((placement, layers, metrics["top1"], metrics["topk"]))
-            print(f"done: {placement} layers={layers} top1={metrics['top1']:.4f}")
+            # the last epoch's log line holds the trained model's val metrics
+            metrics = parse_log_line(train_model(model, train_videos, val_videos, tcfg)[-1])
+            rows.append((placement, layers, metrics["val_top1"], metrics["val_topk"]))
+            print(f"done: {placement} layers={layers} top1={metrics['val_top1']:.4f}")
 
     lines = ["placement  layers  val_top1  val_topk"]
     lines += [f"{p:<9}  {l:<6}  {t1:.4f}    {tk:.4f}" for p, l, t1, tk in rows]
@@ -350,6 +364,8 @@ def cmd_gradcheck(args) -> int:
     ops = None
     if cfg["op"]:
         ops = [o.strip() for o in str(cfg["op"]).split(",") if o.strip()]
+        if not ops:
+            raise ConfigError(f"--op {cfg['op']!r} names no op; known: {sorted(ALL_OPS)}")
         unknown = [o for o in ops if o not in ALL_OPS]
         if unknown:
             raise ConfigError(f"unknown op(s) {unknown}; known: {sorted(ALL_OPS)}")

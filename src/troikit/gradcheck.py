@@ -183,13 +183,13 @@ def _build_troi_forward(rng):
 def _build_backbone_loss(rng):
     spec = BackboneSpec(frames=2, size=16, channels=(4, 6, 8, 8), classes=3)
     model = VideoClassifier(spec, TroiConfig(insert_at="conv4", layers=1, heads=2), seed=int(rng.integers(1 << 31)))
-    video = Tensor(rng.uniform(size=(2, 16, 16, 3)), requires_grad=True)
+    videos = Tensor(rng.uniform(size=(1, 2, 16, 16, 3)), requires_grad=True)
     rois = [_random_box(rng, 0), _random_box(rng, 1)]
     label = int(rng.integers(spec.classes))
     # the first conv stage, the head, and one attention projection cover
     # the full depth of the network
-    leaves = [video, model.stage_weights[0], model.head_w, model.troi.encoder.layers[0].w_qkv]
-    return leaves, lambda: cross_entropy(model.forward(video, rois), label)
+    leaves = [videos, model.stage_weights[0], model.head_w, model.troi.encoder.layers[0].w_qkv]
+    return leaves, lambda: cross_entropy(model.forward_batch(videos, [rois]), [label])
 
 
 ALL_OPS = {

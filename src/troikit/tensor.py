@@ -108,10 +108,6 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def _accumulate(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
     """Add ``g`` into ``t.grad``. ``owned`` marks ``g`` as a fresh array
     that no other code holds, so a first gradient can adopt it uncopied."""
@@ -183,9 +179,7 @@ def zero_grad(params) -> None:
 # elementwise and shape ops
 
 
-def add(a, b) -> Tensor:
-    a = _as_tensor(a)
-    b = _as_tensor(b)
+def add(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape == b.data.shape:
 
         def _bw(g):
@@ -203,9 +197,7 @@ def add(a, b) -> Tensor:
     return Tensor._result(a.data + b.data, (a, b), _bw)
 
 
-def mul(a, b) -> Tensor:
-    a = _as_tensor(a)
-    b = _as_tensor(b)
+def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
         raise DimensionError(f"mul: incompatible shapes {a.data.shape} and {b.data.shape}")
 
@@ -217,7 +209,6 @@ def mul(a, b) -> Tensor:
 
 
 def scale(a: Tensor, c: float) -> Tensor:
-    a = _as_tensor(a)
     c = float(c)
 
     def _bw(g):
@@ -226,8 +217,7 @@ def scale(a: Tensor, c: float) -> Tensor:
     return Tensor._result(a.data * c, (a,), _bw)
 
 
-def relu(a) -> Tensor:
-    a = _as_tensor(a)
+def relu(a: Tensor) -> Tensor:
     out = np.maximum(a.data, 0)
 
     def _bw(g):
@@ -237,7 +227,6 @@ def relu(a) -> Tensor:
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    a = _as_tensor(a)
     shape = tuple(int(s) for s in shape)
     out = a.data.reshape(shape)
 
@@ -249,7 +238,6 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 def transpose(a: Tensor) -> Tensor:
     """Swap the last two axes; any leading axes are batch axes."""
-    a = _as_tensor(a)
     if a.data.ndim < 2:
         raise DimensionError(f"transpose expects a matrix or a stack of them, got shape {a.data.shape}")
 
@@ -260,7 +248,6 @@ def transpose(a: Tensor) -> Tensor:
 
 
 def slice_axis0(a: Tensor, start: int, stop: int) -> Tensor:
-    a = _as_tensor(a)
     n = a.data.shape[0] if a.data.ndim else 0
     if not (0 <= start < stop <= n):
         raise DimensionError(f"slice [{start}:{stop}] out of range for axis of length {n}")
@@ -276,7 +263,7 @@ def slice_axis0(a: Tensor, start: int, stop: int) -> Tensor:
 
 
 def concat_axis0(parts: Sequence[Tensor]) -> Tensor:
-    parts = [_as_tensor(p) for p in parts]
+    parts = tuple(parts)
     if not parts:
         raise DimensionError("concat_axis0 needs at least one tensor")
     trailing = parts[0].data.shape[1:]
@@ -294,11 +281,11 @@ def concat_axis0(parts: Sequence[Tensor]) -> Tensor:
             _accumulate(p, g[offset : offset + n])
             offset += n
 
-    return Tensor._result(out, tuple(parts), _bw)
+    return Tensor._result(out, parts, _bw)
 
 
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    parts = [_as_tensor(p) for p in parts]
+    parts = tuple(parts)
     if not parts:
         raise DimensionError("concat_cols needs at least one tensor")
     rows = parts[0].data.shape[0]
@@ -316,59 +303,34 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
             _accumulate(p, g[:, offset : offset + n])
             offset += n
 
-    return Tensor._result(out, tuple(parts), _bw)
+    return Tensor._result(out, parts, _bw)
 
 
 # ---------------------------------------------------------------------------
 # reductions
 
 
-def _norm_axes(axis, ndim) -> tuple[int, ...] | None:
-    if axis is None:
-        return None
-    if isinstance(axis, int):
-        axis = (axis,)
-    return tuple(sorted(a % ndim for a in axis))
-
-
-def reduce_sum(a: Tensor, axis=None) -> Tensor:
-    a = _as_tensor(a)
-    axes = _norm_axes(axis, a.data.ndim)
-    out = a.data.sum(axis=axes)
+def reduce_sum(a: Tensor) -> Tensor:
+    """Sum of every entry."""
 
     def _bw(g):
-        if axes is None:
-            _accumulate(a, np.broadcast_to(g, a.data.shape))
-        else:
-            _accumulate(a, np.broadcast_to(np.expand_dims(g, axes), a.data.shape))
+        _accumulate(a, np.broadcast_to(g, a.data.shape))
 
-    return Tensor._result(np.asarray(out, dtype=a.data.dtype), (a,), _bw)
+    return Tensor._result(np.asarray(a.data.sum(), dtype=a.data.dtype), (a,), _bw)
 
 
-def reduce_mean(a: Tensor, axis=None) -> Tensor:
-    a = _as_tensor(a)
-    axes = _norm_axes(axis, a.data.ndim)
-    if axes is None:
-        count = a.data.size
-    else:
-        count = 1
-        for ax in axes:
-            count *= a.data.shape[ax]
-    out = a.data.mean(axis=axes)
-    inv = 1.0 / count
+def reduce_mean(a: Tensor, axis: int) -> Tensor:
+    """Mean along one axis."""
+    inv = 1.0 / a.data.shape[axis]
 
     def _bw(g):
-        if axes is None:
-            _accumulate(a, np.broadcast_to(g * inv, a.data.shape))
-        else:
-            _accumulate(a, np.broadcast_to(np.expand_dims(g * inv, axes), a.data.shape))
+        _accumulate(a, np.broadcast_to(np.expand_dims(g * inv, axis), a.data.shape))
 
-    return Tensor._result(np.asarray(out, dtype=a.data.dtype), (a,), _bw)
+    return Tensor._result(np.asarray(a.data.mean(axis=axis), dtype=a.data.dtype), (a,), _bw)
 
 
 def reduce_max(a: Tensor, axis: int) -> Tensor:
     """Max along one axis; on ties the gradient routes to the first maximum."""
-    a = _as_tensor(a)
     axis = axis % a.data.ndim
     idx = np.argmax(a.data, axis=axis)
     out = np.take_along_axis(a.data, np.expand_dims(idx, axis), axis=axis).squeeze(axis)
@@ -388,8 +350,6 @@ def reduce_max(a: Tensor, axis: int) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product of (..., n, k) by (..., k, m); both operands must
     have the same leading batch axes."""
-    a = _as_tensor(a)
-    b = _as_tensor(b)
     if a.data.ndim < 2 or a.data.shape[:-2] != b.data.shape[:-2] or a.data.shape[-1:] != b.data.shape[-2:-1]:
         raise DimensionError(f"matmul: cannot multiply {a.data.shape} by {b.data.shape}")
     out = a.data @ b.data
@@ -410,7 +370,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 def softmax_rows(x: Tensor) -> Tensor:
     """Softmax along the last axis with row-max subtraction for stability;
     any leading axes are batch axes. A -inf entry gets weight exactly 0."""
-    x = _as_tensor(x)
     if x.data.ndim < 2:
         raise DimensionError(f"softmax_rows expects a matrix or a stack of them, got shape {x.data.shape}")
     # numpy reduces a short last axis one row at a time; with that axis
@@ -434,7 +393,6 @@ def pack_rows(a: Tensor, slot: np.ndarray, blocks: int, width: int, heads: int =
     flattened (blocks, width) grid; no two rows may share one. Head h of
     row n lands in block h*blocks + slot[n] // width, at row slot[n] % width,
     so the heads ride in the leading (batch) axis."""
-    a = _as_tensor(a)
     if a.data.ndim != 2 or slot.shape != a.data.shape[:1] or a.data.shape[1] % heads:
         raise DimensionError(f"pack_rows: {slot.shape} slots or {heads} heads do not fit rows of shape {a.data.shape}")
     n, cols = a.data.shape
@@ -452,7 +410,6 @@ def unpack_rows(a: Tensor, slot: np.ndarray, heads: int = 1) -> Tensor:
     """Inverse of ``pack_rows``: gather the (N, heads*d) rows at ``slot``
     back out of (heads*blocks, width, d) blocks. Padding rows are dropped
     and get a zero gradient."""
-    a = _as_tensor(a)
     if a.data.ndim != 3 or a.data.shape[0] % heads:
         raise DimensionError(f"unpack_rows expects (heads*blocks, width, d) blocks, got shape {a.data.shape}")
     stacked, width, d = a.data.shape
@@ -472,9 +429,6 @@ _LN_EPS = 1e-5  # added to each row's variance before the square root
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Per-row normalization to zero mean and unit variance, then affine."""
-    x = _as_tensor(x)
-    gamma = _as_tensor(gamma)
-    beta = _as_tensor(beta)
     if x.data.ndim != 2:
         raise DimensionError(f"layer_norm expects a matrix, got shape {x.data.shape}")
     c = x.data.shape[1]
@@ -610,8 +564,6 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     weight and bias gradients are the sum of the chunks' parts, added in
     chunk order.
     """
-    x = _as_tensor(x)
-    w = _as_tensor(w)
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise DimensionError(f"conv2d expects 4-d input and kernel, got {x.data.shape} and {w.data.shape}")
     bsz, s1, s2, cin = x.data.shape
@@ -696,12 +648,12 @@ def max_pool2d(x: Tensor) -> Tensor:
     The first maximum of a window in (i, j) scan order takes its gradient.
     When a graph is built, the forward pass keeps that position as a small
     integer array (a strict ``>`` against the running max), so the
-    backward pass reads neither ``x`` nor the output. A window holding a
+    backward pass reads neither ``x`` nor the output; a call without a
+    graph runs the same loop and skips that bookkeeping. A window holding a
     NaN sends its gradient to one of its positions; training stops at a
     non-finite loss before ``backward``, so no training path reaches this
     case.
     """
-    x = _as_tensor(x)
     if x.data.ndim != 4:
         raise DimensionError(f"max_pool2d expects 4-d input, got {x.data.shape}")
     bsz, s1, s2, c = x.data.shape
@@ -725,28 +677,22 @@ def max_pool2d(x: Tensor) -> Tensor:
         return [slice(a, min(a + step, hi)) for a in range(lo, hi, step)]
 
     def _fwd(lo, hi):
-        xs, outs = x.data[lo:hi], out[lo:hi]
-        np.copyto(outs, window(xs, 0))
-        if first is None:
-            for n in range(1, 4):
-                np.maximum(outs, window(xs, n), out=outs)
-            return
         # a contiguous copy of each tap makes the compare and the max cheap;
         # the buffers are this chunk's own
         cand_buf = np.empty_like(out[: min(step, hi - lo)])
         hit_buf = np.empty(cand_buf.shape, dtype=bool)
         for sl in slices(lo, hi):
-            xs, outs, firsts = x.data[sl], out[sl], first[sl]
+            xs, outs = x.data[sl], out[sl]
             cand, hit = cand_buf[: len(outs)], hit_buf[: len(outs)]
+            np.copyto(outs, window(xs, 0))
             for n in range(1, 4):
                 np.copyto(cand, window(xs, n))
-                np.greater(cand, outs, out=hit)
-                np.maximum(firsts, hit * np.uint8(n), out=firsts)
+                if tracked:
+                    np.greater(cand, outs, out=hit)
+                    np.maximum(first[sl], hit * np.uint8(n), out=first[sl])
                 np.maximum(outs, cand, out=outs)
 
     _run_chunks(_fwd, chunks, out.nbytes >= _POOL_HANDOFF_BYTES)
-    if not tracked:
-        return Tensor._result(out, (x,), None)
 
     def _bw(g):
         if s1 % 2 or s2 % 2:
@@ -770,18 +716,13 @@ def max_pool2d(x: Tensor) -> Tensor:
 # classification loss
 
 
-def cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Negative log-softmax at the true label, averaged over rows.
-
-    Accepts a (K,) vector with a single int label or a (B, K) matrix
-    with a sequence of labels.
-    """
-    logits = _as_tensor(logits)
-    single = logits.data.ndim == 1
-    z = logits.data[None, :] if single else logits.data
+def cross_entropy(logits: Tensor, labels: Sequence[int]) -> Tensor:
+    """Negative log-softmax at the true label, averaged over the rows of
+    (B, K) logits; ``labels`` holds one class per row."""
+    z = logits.data
     if z.ndim != 2:
-        raise DimensionError(f"cross_entropy expects logits of rank 1 or 2, got {logits.data.shape}")
-    lab = np.asarray([labels] if single else list(labels), dtype=np.int64)
+        raise DimensionError(f"cross_entropy expects (B, K) logits, got {z.shape}")
+    lab = np.asarray(list(labels), dtype=np.int64)
     bsz, k = z.shape
     if lab.shape != (bsz,):
         raise DimensionError(f"cross_entropy: {bsz} logit rows but {lab.shape[0]} labels")
@@ -796,8 +737,7 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
         p = np.exp(z - m)
         p /= p.sum(axis=1, keepdims=True)
         p[np.arange(bsz), lab] -= 1.0
-        gz = p * (g / bsz)
-        _accumulate(logits, gz[0] if single else gz)
+        _accumulate(logits, p * (g / bsz))
 
     return Tensor._result(out, (logits,), _bw)
 
@@ -828,9 +768,9 @@ def ones_param(shape) -> Tensor:
     return Tensor(np.ones(shape), requires_grad=True)
 
 
-def write_tensor(fh, tensor) -> None:
+def write_tensor(fh, array: np.ndarray) -> None:
     """u32 rank, u32 extents, then row-major little-endian float32 payload."""
-    arr = np.ascontiguousarray(tensor.data if isinstance(tensor, Tensor) else tensor)
+    arr = np.ascontiguousarray(array)
     fh.write(struct.pack("<I", arr.ndim))
     if arr.ndim:
         fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))

@@ -141,12 +141,11 @@ class TestForward:
     def test_first_layer_gradient_finite_difference(self, rng):
         with precision("f64"):
             model = VideoClassifier(SMALL, TroiConfig(), seed=3)
-            video = Tensor(rng.uniform(size=(2, 16, 16, 3)))
+            videos = Tensor(rng.uniform(size=(1, 2, 16, 16, 3)))
             rois = [random_box(rng, 0), random_box(rng, 1)]
-            label = 1
 
             def loss():
-                return cross_entropy(model.forward(video, rois), label)
+                return cross_entropy(model.forward_batch(videos, [rois]), [1])
 
             backward(loss())
             w0 = model.stage_weights[0]

@@ -300,6 +300,11 @@ class TestGradcheckCommand:
     def test_unknown_op(self):
         assert main(["gradcheck", "--op", "warp"]) == 2
 
+    def test_op_list_naming_no_op(self, capsys):
+        # this used to end in a ValueError from a report over no results
+        assert main(["gradcheck", "--op", ","]) == 2
+        assert "names no op" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag, value", [("--points", "0"), ("--tol", "nan"), ("--perturb", "nan")])
     def test_setting_that_checks_nothing_exits_2(self, capsys, flag, value):
         # each of these would report every op as a pass
@@ -371,6 +376,18 @@ class TestBadInput:
              "--epochs", "1", "--channels", "4,6,8,8"]
         ) == 3
         assert "the model has 2 classes" in capsys.readouterr().err
+        assert not (tmp_path / "x.ckpt.cfg").exists()  # rejected before any file is written
+
+    def test_val_videos_of_another_shape_exit_3_before_training(self, tiny_data, tmp_path, capsys):
+        # this used to exit 2 from the first evaluate, after a whole epoch
+        big = tmp_path / "big"
+        assert main(["gen", "--out", str(big), "--per-class", "1", "--frames", "4", "--size", "32"]) == 0
+        assert main(
+            ["train", "--data", str(tiny_data / "train"), "--val-data", str(big), "--out", str(tmp_path / "x.ckpt"),
+             "--epochs", "1", "--channels", "4,6,8,8"]
+        ) == 3
+        assert "the training videos have (4, 16, 16, 3)" in capsys.readouterr().err
+        assert not (tmp_path / "x.ckpt.cfg").exists()
 
 
 class TestDefaults:
@@ -387,7 +404,8 @@ class TestDefaults:
 
             monkeypatch.setattr(cli, name, fake)
 
-        record("train_model", [], cli.train_model)
+        line = "epoch=0 lr=0.01 train_loss=1.0 val_top1=0.5 val_topk=1.0"
+        record("train_model", [line], cli.train_model)
         record("evaluate", {"top1": 0.0, "topk": 0.0, "per_class": {}}, evaluate)
         record("run_checks", [OpCheck("matmul", True, 0.0, 1, 1)], run_checks)
         record("build_dataset", [], build_dataset)
@@ -424,8 +442,10 @@ class TestDefaults:
             troi = run["model"].troi_config
             assert troi == dataclasses.replace(TroiConfig(), insert_at=troi.insert_at, layers=troi.layers)
             assert run["model"].spec.channels == BackboneSpec.channels
-        for run in calls["evaluate"]:
-            self.assert_keyword_defaults(evaluate, run)
+        # each model's metrics come from its last log line, not a second evaluate
+        assert "evaluate" not in calls
+        rows = (tmp_path / "ablation" / "ablation.txt").read_text().splitlines()[1:]
+        assert [row.split()[2:] for row in rows] == [["0.5000", "1.0000"]] * len(runs)
 
     def test_gradcheck(self, calls):
         assert main(["gradcheck"]) == 0

@@ -242,6 +242,8 @@ class TestElementwiseAndPooling:
             x = Tensor(rng.normal(size=shape), requires_grad=True)
             out = max_pool2d(x)
             assert np.array_equal(out.data, oracles.max_pool_loops(x.data))
+            with no_grad():  # the same slices, without the first-max index
+                assert np.array_equal(max_pool2d(x).data, out.data)
             proj = Tensor(rng.normal(size=out.shape))
 
             def fn():
@@ -296,6 +298,8 @@ class TestElementwiseAndPooling:
             x = Tensor(rng.integers(-2, 3, size=(5, 7, 7, 2)).astype(float), requires_grad=True)
             out = max_pool2d(x)
             assert np.array_equal(out.data, oracles.max_pool_loops(x.data))
+            with no_grad():  # the same slices, without the first-max index
+                assert np.array_equal(max_pool2d(x).data, out.data)
             proj = Tensor(rng.normal(size=out.shape))
             backward(reduce_sum(mul(out, proj)))
             ref = oracles.max_pool_grad_loops(x.data, proj.data)
@@ -398,11 +402,11 @@ class TestBackward:
 
 class TestCrossEntropy:
     def test_uniform_logits(self):
-        out = cross_entropy(Tensor([0.3, 0.3, 0.3, 0.3]), 2)
+        out = cross_entropy(Tensor([[0.3, 0.3, 0.3, 0.3]]), [2])
         assert out.item() == pytest.approx(math.log(4.0), abs=1e-6)
 
     def test_dominant_logit_goes_to_zero(self):
-        out = cross_entropy(Tensor([100.0, 0.0, 0.0]), 0)
+        out = cross_entropy(Tensor([[100.0, 0.0, 0.0]]), [0])
         assert out.item() < 1e-6
 
     def test_matches_log_sum_exp_oracle(self, rng):
@@ -410,15 +414,17 @@ class TestCrossEntropy:
             z = rng.normal(size=7) * 3
             label = 4
             expected = oracles.log_sum_exp_loops(list(z)) - z[label]
-            assert cross_entropy(Tensor(z), label).item() == pytest.approx(expected, abs=1e-9)
+            assert cross_entropy(Tensor(z[None]), [label]).item() == pytest.approx(expected, abs=1e-9)
 
     def test_out_of_range_label(self):
         with pytest.raises(ContractError):
-            cross_entropy(Tensor([0.0, 1.0]), 2)
+            cross_entropy(Tensor([[0.0, 1.0]]), [2])
+        with pytest.raises(DimensionError, match="logits"):  # a (K,) vector is not a batch
+            cross_entropy(Tensor([0.0, 1.0]), [1])
 
     def test_batch_mean(self, rng):
         z = rng.normal(size=(3, 4))
-        losses = [cross_entropy(Tensor(z[i]), i).item() for i in range(3)]
+        losses = [cross_entropy(Tensor(z[i : i + 1]), [i]).item() for i in range(3)]
         batched = cross_entropy(Tensor(z), [0, 1, 2]).item()
         assert batched == pytest.approx(np.mean(losses), abs=1e-6)
 
@@ -472,5 +478,5 @@ class TestPrecisionAndSerialization:
 
     def test_finite_after_ops(self, rng):
         x = Tensor(rng.uniform(-50, 50, size=(4, 8)))
-        for out in (softmax_rows(x), relu(x), reduce_mean(x), transpose(x)):
+        for out in (softmax_rows(x), relu(x), reduce_mean(x, 1), transpose(x)):
             assert np.all(np.isfinite(out.data))
