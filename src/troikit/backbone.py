@@ -39,13 +39,13 @@ from .tensor import (
 from .troi import INSERT_STAGE, TroiConfig, TroiModule
 
 CHECKPOINT_MAGIC = b"TROICKP1"
+_IN_CHANNELS = 3  # RGB: load_dataset gives every video a (T, S, S, 3) shape
 
 
 @dataclass(frozen=True)
 class BackboneSpec:
     frames: int = 8
     size: int = 32
-    in_channels: int = 3
     channels: tuple[int, int, int, int] = (16, 32, 64, 64)
     classes: int = 6
 
@@ -70,7 +70,7 @@ class VideoClassifier:
         rng = np.random.default_rng(seed)
         self.stage_weights = []
         self.stage_biases = []
-        cin = spec.in_channels
+        cin = _IN_CHANNELS
         for cout in spec.channels:
             self.stage_weights.append(init_relu_uniform(rng, (3, 3, cin, cout), fan_in=9 * cin))
             self.stage_biases.append(zeros_param((cout,)))
@@ -97,16 +97,16 @@ class VideoClassifier:
         collects the ROI module's attention matrices, in the layout that
         ``TroiModule.forward`` documents."""
         spec = self.spec
-        if videos.data.ndim != 5 or videos.data.shape[1:] != (spec.frames, spec.size, spec.size, spec.in_channels):
+        if videos.data.ndim != 5 or videos.data.shape[1:] != (spec.frames, spec.size, spec.size, _IN_CHANNELS):
             raise ConfigError(
                 f"video batch shape {videos.data.shape} does not match spec "
-                f"(*, {spec.frames}, {spec.size}, {spec.size}, {spec.in_channels})"
+                f"(*, {spec.frames}, {spec.size}, {spec.size}, {_IN_CHANNELS})"
             )
         bsz = videos.data.shape[0]
         if len(rois_per_video) != bsz:
             raise ConfigError(f"{bsz} videos but {len(rois_per_video)} ROI lists")
 
-        x = reshape(videos, (bsz * spec.frames, spec.size, spec.size, spec.in_channels))
+        x = reshape(videos, (bsz * spec.frames, spec.size, spec.size, _IN_CHANNELS))
         for stage in range(4):
             x = self._stage(x, stage)
             if self.troi is not None and stage == self._insert_after:
@@ -150,7 +150,7 @@ class VideoClassifier:
         lines = [
             f"frames = {spec.frames}",
             f"size = {spec.size}",
-            f"in_channels = {spec.in_channels}",
+            f"in_channels = {_IN_CHANNELS}",
             f"channels = {','.join(str(c) for c in spec.channels)}",
             f"classes = {spec.classes}",
         ]

@@ -224,9 +224,11 @@ def run_checks(
     if not (math.isfinite(tol) and tol > 0 and math.isfinite(perturb)):
         raise ConfigError(f"tol must be positive and finite and perturb finite, got {tol}/{perturb}")
     names = list(ALL_OPS) if ops is None else list(ops)
+    if not names:
+        raise ConfigError(f"the op list {ops!r} names no op; known: {sorted(ALL_OPS)}")
     unknown = [n for n in names if n not in ALL_OPS]
     if unknown:
-        raise KeyError(f"unknown op(s) {unknown}; known: {list(ALL_OPS)}")
+        raise ConfigError(f"unknown op(s) {unknown}; known: {sorted(ALL_OPS)}")
     results = []
     with precision("f64"):
         for name in names:

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import multiprocessing
-import re
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -37,7 +36,9 @@ from .rois import RoiBox
 from .tensor import read_tensor, write_tensor
 
 CLASSES = ("put-beside", "cover", "uncover", "swap", "move-away", "split")
-CORRUPT_MODES = ("iou@0.50", "iou@0.25", "iou@0.05", "drop-hands", "drop-objects", "drop-all")
+_IOU_TARGETS = {"iou@0.50": 0.50, "iou@0.25": 0.25, "iou@0.05": 0.05}  # mode -> overlap with the true box
+_DROPPED = {"drop-hands": "hand", "drop-objects": "object"}  # mode -> entity removed
+CORRUPT_MODES = (*_IOU_TARGETS, *_DROPPED, "drop-all")
 
 _VISIBLE_FRACTION = 0.1  # below this an entity counts as occluded
 _NOISE_AMPLITUDE = 0.08
@@ -48,7 +49,6 @@ class SynthVideo:
     frames: np.ndarray  # (T, S, S, 3) float32 in [0, 1]
     rois: list[RoiBox]
     label: int
-    seed: int
 
 
 @dataclass
@@ -273,7 +273,7 @@ def generate(seed: int, cls: str, frames: int = 8, size: int = 32) -> SynthVideo
         RoiBox(t, x1, y1, x2, y2, sprites[k].tag)
         for t, k, (x1, y1, x2, y2) in zip(ts.tolist(), ks.tolist(), rects[ts, ks].tolist())
     ]
-    return SynthVideo(video, rois, CLASSES.index(cls), int(seed))
+    return SynthVideo(video, rois, CLASSES.index(cls))
 
 
 def video_seed(base_seed: int, class_id: int, index: int) -> int:
@@ -336,17 +336,11 @@ def corrupt_rois(rois, mode: str) -> list[RoiBox]:
     """Degrade a box list the way a worse detector would."""
     if mode == "drop-all":
         return []
-    if mode == "drop-hands":
-        return [b for b in rois if b.entity != "hand"]
-    if mode == "drop-objects":
-        return [b for b in rois if b.entity != "object"]
-    match = re.fullmatch(r"iou@([0-9.]+)", mode)
-    if not match:
+    if mode in _DROPPED:
+        return [b for b in rois if b.entity != _DROPPED[mode]]
+    if mode not in _IOU_TARGETS:
         raise ConfigError(f"unknown corruption mode {mode!r}; expected one of {CORRUPT_MODES}")
-    alpha = float(match.group(1))
-    if not 0.0 < alpha <= 1.0:
-        raise ConfigError(f"corruption target IoU must be in (0, 1], got {alpha}")
-    return [_shift_box(b, alpha) for b in rois]
+    return [_shift_box(b, _IOU_TARGETS[mode]) for b in rois]
 
 
 # ---------------------------------------------------------------------------
@@ -361,13 +355,15 @@ def _format_boxes(rois) -> str:
     return ";".join(f"{b.frame},{b.x1!r},{b.y1!r},{b.x2!r},{b.y2!r},{b.entity}" for b in rois)
 
 
-def _parse_boxes(text: str) -> list[RoiBox]:
+def _parse_boxes(text: str, frames: int) -> list[RoiBox]:
     if text == "-":
         return []
     boxes = []
     for part in text.split(";"):
         frame, x1, y1, x2, y2, entity = part.split(",")
         boxes.append(RoiBox(int(frame), float(x1), float(y1), float(x2), float(y2), entity))
+        if boxes[-1].frame >= frames:
+            raise InvalidBoxError(f"box frame {boxes[-1].frame} outside a video of {frames} frames")
     return boxes
 
 
@@ -388,9 +384,10 @@ def save_dataset(directory, videos, force: bool = False) -> Path:
 
 
 def load_dataset(directory) -> list[SynthVideo]:
-    """Round-trips save_dataset bit-exactly (seeds are not stored). A manifest
-    that is not UTF-8 or lists no video, a malformed line, a file outside the
-    directory, or a video unlike the first or not (T, S, S, 3) is a DataError."""
+    """Round-trips save_dataset bit-exactly. A manifest that is not UTF-8 or
+    lists no video, a malformed line, a box past the video's last frame, a
+    file outside the directory, or a video unlike the first or not
+    (T, S, S, 3) is a DataError."""
     directory = Path(directory)
     manifest = directory / MANIFEST_NAME
     if not manifest.exists():
@@ -419,7 +416,7 @@ def load_dataset(directory) -> list[SynthVideo]:
         if path == root or not path.is_relative_to(root):
             raise DataError(f"{where}: {fname!r} is outside the dataset directory")
         try:
-            rois = _parse_boxes(boxes)
+            rois = _parse_boxes(boxes, frames)
         except (ValueError, InvalidBoxError) as exc:
             raise DataError(f"{where}: malformed box list ({exc})") from None
         with open(path, "rb") as fh:
@@ -428,7 +425,7 @@ def load_dataset(directory) -> list[SynthVideo]:
             raise DataError(f"{fname}: stored shape {data.shape} is not the manifest's ({frames}, S, S, 3)")
         if videos and data.shape != videos[0].frames.shape:
             raise DataError(f"{fname}: stored shape {data.shape} differs from the first video's {videos[0].frames.shape}")
-        videos.append(SynthVideo(data, rois, label, 0))
+        videos.append(SynthVideo(data, rois, label))
     if not videos:
         raise DataError(f"{manifest} lists no videos")
     return videos

@@ -53,7 +53,8 @@ def lr_at(epoch: int, cfg: TrainConfig) -> float:
 
 
 def sgd_step(params, state: dict, lr: float, momentum: float, weight_decay: float) -> None:
-    """v <- momentum*v + (grad + decay*theta); theta <- theta - lr*v."""
+    """v <- momentum*v + (grad + decay*theta); theta <- theta - lr*v. A
+    parameter that is not finite after its update raises ``NumericError``."""
     velocity = state.get("velocity")
     if velocity is None:
         velocity = state["velocity"] = [np.zeros_like(p.data) for _, p in params]
@@ -64,6 +65,8 @@ def sgd_step(params, state: dict, lr: float, momentum: float, weight_decay: floa
         v *= momentum
         v += g
         p.data = p.data - lr * v
+        if not np.isfinite(p.data).all():
+            raise NumericError(f"parameter {name} is not finite after its update")
 
 
 def _batches(count: int, batch_size: int, order):
@@ -151,9 +154,8 @@ def train_model(
     log_path=None,
     checkpoint_path=None,
     start_epoch: int = 0,
-    stop_epoch: int | None = None,
 ) -> list[str]:
-    """Run epochs [start_epoch, stop_epoch) of the schedule and return one
+    """Run epochs [start_epoch, cfg.epochs) of the schedule and return one
     log line per epoch. The schedule always derives from the full epoch
     budget, so a resumed run continues exactly where an uninterrupted one
     would be. Fixed seeds give bit-reproducible logs (build and train
@@ -166,7 +168,7 @@ def train_model(
 
     log_fh = open(log_path, "a") if log_path else None
     try:
-        for epoch in range(cfg.epochs if stop_epoch is None else min(stop_epoch, cfg.epochs)):
+        for epoch in range(cfg.epochs):
             order = rng.permutation(len(train_videos))
             if epoch < start_epoch:
                 continue  # burn the shuffle stream so resumed runs line up

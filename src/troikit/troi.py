@@ -54,8 +54,6 @@ class TroiModule:
     videos at once."""
 
     def __init__(self, channels: int, config: TroiConfig, rng: np.random.Generator):
-        if channels % config.heads:
-            raise ConfigError(f"channels {channels} must divide evenly into {config.heads} heads")
         self.channels = channels
         self.config = config
         self.encoder = Encoder(channels, config.heads, config.layers, rng)
@@ -86,12 +84,10 @@ class TroiModule:
         exactly 0, and every row sums to 1.
 
         Returns ``x`` itself when no box survives clipping."""
-        if not rois:
-            return x  # bypass: nothing to relate
         fset = extract_features(x, rois, per_video=per_video)
         n = len(fset)
         if n == 0:
-            return x  # every box fell outside the image
+            return x  # bypass: no box, or every box fell outside the image
         videos = 1 if per_video is None else len(per_video)
         frames = x.data.shape[0] // videos
         video = fset.frame // frames  # rows are grouped by video

@@ -199,6 +199,18 @@ class TestCheckpoint:
         with pytest.raises(DataError, match=field):
             load_checkpoint(path, model)
 
+    def test_digests_of_saved_checkpoints_stay_the_same(self):
+        # a checkpoint stores its model's digest, so a change here orphans every saved checkpoint
+        digests = {
+            None: "b53cde90773069ef480cae2a65f26bbbe0516e718796fff8aafeb7ce1410463d",
+            TroiConfig(): "2688cebef53b5c96e53056f34f8be19690d8e005bc45279259199c4dba5cf9a5",
+            TroiConfig(scene_token=True, coord_encoding=True): (
+                "2e06ccd462a8de989cba24a411664e15d0f5c69f86ce2d218485d2e38ee3fc1d"
+            ),
+        }
+        for troi, digest in digests.items():
+            assert VideoClassifier(BackboneSpec(), troi, seed=0).config_digest() == digest
+
     def test_arch_text_distinguishes_configs(self):
         a = VideoClassifier(SMALL, TroiConfig(), seed=0)
         b = VideoClassifier(SMALL, TroiConfig(layers=2), seed=0)

@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import hashlib
 import inspect
+import shlex
 import shutil
 from pathlib import Path
 
@@ -157,6 +158,17 @@ class TestTrain:
         assert main(base + ["--epochs", "3", "--resume"]) == 0
         lines = Path(str(ckpt) + ".log").read_text().splitlines()
         assert [l.split()[0] for l in lines] == ["epoch=0", "epoch=1", "epoch=2"]
+
+    def test_resume_without_a_checkpoint_starts_a_fresh_log(self, tiny_data, tmp_path):
+        # this used to append a second epoch 0 and 1 to the old log, so the next resume skipped epochs
+        ckpt = tmp_path / "gone.ckpt"
+        base = ["train", "--data", str(tiny_data / "train"), "--val-data", str(tiny_data / "val"),
+                "--out", str(ckpt), "--batch-size", "6", "--channels", "4,6,8,8", "--epochs", "2"]
+        assert main(base) == 0
+        ckpt.unlink()
+        assert main(base + ["--resume"]) == 0
+        lines = Path(str(ckpt) + ".log").read_text().splitlines()
+        assert [l.split()[0] for l in lines] == ["epoch=0", "epoch=1"]
 
     def test_config_file_merging(self, tiny_data, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -389,6 +401,28 @@ class TestBadInput:
         assert "the training videos have (4, 16, 16, 3)" in capsys.readouterr().err
         assert not (tmp_path / "x.ckpt.cfg").exists()
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_box_past_the_last_frame_exits_3_before_any_file(self, command, tiny_data, trained, tmp_path, capsys):
+        # this used to exit 2 from the first ROI step, after train had written its sidecar and log
+        bad = tmp_path / "late-box"
+        shutil.copytree(tiny_data / "train", bad)
+        manifest = bad / "manifest.txt"
+        lines = manifest.read_text().splitlines()
+        fname, label, frames, _ = lines[0].split("\t")
+        lines[0] = "\t".join([fname, label, frames, f"{frames},0.1,0.1,0.4,0.4,hand"])
+        manifest.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "x.ckpt"
+        argv = {
+            "train": ["train", "--data", str(bad), "--val-data", str(tiny_data / "val"), "--out", str(out),
+                      "--epochs", "1", "--channels", "4,6,8,8"],
+            "eval": ["eval", "--data", str(bad), "--checkpoint", str(trained)],
+        }[command]
+        assert main(argv) == 3
+        assert f"line 1: malformed box list (box frame {frames} outside a video of {frames} frames)" in (
+            capsys.readouterr().err
+        )
+        assert not Path(str(out) + ".cfg").exists()
+
 
 class TestDefaults:
     """A command given only its required flags runs the library's defaults."""
@@ -584,6 +618,21 @@ class TestSurface:
             return [line.split(" = ")[0] for line in Path(path).read_text().splitlines()]
 
         assert keys(str(copy) + ".cfg") == keys(str(trained) + ".cfg")
+
+
+def test_readme_commands_parse():
+    # every `troikit ...` line of the README's code blocks, continuations joined and comments cut
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = text.split("```")[1::2]
+    lines = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()]
+    commands = [argv for argv in (shlex.split(line, comments=True) for line in lines) if argv[:1] == ["troikit"]]
+    assert len(commands) >= 10
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"the README's `{shlex.join(argv)}` does not parse")
 
 
 class TestPrecisionFlag:

@@ -48,8 +48,10 @@ def test_perturbed_gradients_are_caught():
 
 
 def test_unknown_op_rejected():
-    with pytest.raises(KeyError):
+    with pytest.raises(ConfigError, match="unknown op"):
         run_checks(ops=["banana"])
+    with pytest.raises(ConfigError, match="names no op"):  # its report would have no row to size
+        run_checks(ops=[])
 
 
 @pytest.mark.parametrize(

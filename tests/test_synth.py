@@ -255,8 +255,7 @@ class TestCorruption:
                 assert oracles.iou_loops(box, shifted) == pytest.approx(alpha, abs=0.02)
 
     def test_identity_alpha(self):
-        box = RoiBox(0, 0.2, 0.2, 0.5, 0.5)
-        assert corrupt_rois([box], "iou@1.0") == [box]
+        assert shift_for_iou(1.0) == 0.0
 
     def test_drop_modes(self):
         rois = [
@@ -272,6 +271,8 @@ class TestCorruption:
             corrupt_rois([], "blur")
         with pytest.raises(ConfigError):
             corrupt_rois([], "iou@0")
+        with pytest.raises(ConfigError):  # only the listed targets are modes
+            corrupt_rois([], "iou@1.0")
 
 
 class TestDiskFormat:
@@ -291,7 +292,7 @@ class TestDiskFormat:
             RoiBox(np.int64(1), np.float64(0.1), np.float32(0.2), np.float64(0.5), np.int64(1), "hand"),
             RoiBox(0, np.float16(0.25), 0.3, np.float64(2) / 3, 0.7),
         ]
-        save_dataset(tmp_path / "ds", [SynthVideo(frames, rois, 2, 0)])
+        save_dataset(tmp_path / "ds", [SynthVideo(frames, rois, 2)])
         assert "np." not in (tmp_path / "ds" / "manifest.txt").read_text()
         (loaded,) = load_dataset(tmp_path / "ds")
         assert loaded.rois == rois

@@ -53,6 +53,12 @@ class TestSgdStep:
                 sgd_step([("theta", theta)], state, lr=0.05, momentum=0.9, weight_decay=0.01)
             assert theta.data[0] == pytest.approx(t, abs=1e-12)
 
+    def test_overflowing_update_is_a_numeric_error(self):
+        theta = Tensor([1.0, 3e38], requires_grad=True)
+        theta.grad = np.array([0.0, -1e38], dtype=np.float32)
+        with pytest.raises(NumericError, match="parameter theta is not finite"), np.errstate(over="ignore"):
+            sgd_step([("theta", theta)], {}, lr=10.0, momentum=0.0, weight_decay=0.0)
+
     def test_missing_gradient_rejected(self):
         theta = Tensor([1.0], requires_grad=True)
         with pytest.raises(ContractError, match="gradient"):
@@ -115,7 +121,7 @@ class _StubModel:
 
 def tiny_videos(labels):
     return [
-        tk.SynthVideo(np.zeros((8, 32, 32, 3), dtype=np.float32), [], label, 0)
+        tk.SynthVideo(np.zeros((8, 32, 32, 3), dtype=np.float32), [], label)
         for label in labels
     ]
 
@@ -218,12 +224,13 @@ class TestTrainLoop:
 
     def test_resume_lines_up_with_uninterrupted_run(self):
         with precision("f64"):
-            cfg = TrainConfig(epochs=3, batch_size=6, lr=0.02, seed=2)
+            # (1, 2) is the 3-epoch budget's default schedule, so the 2-epoch first leg follows it too
+            cfg = TrainConfig(epochs=3, batch_size=6, lr=0.02, lr_boundaries=(1, 2), seed=2)
             model, train, val = small_setup()
             full = train_model(model, train, val, cfg)
 
             model2, _, _ = small_setup()
-            first = train_model(model2, train, val, cfg, stop_epoch=2)
+            first = train_model(model2, train, val, dataclasses.replace(cfg, epochs=2))
             resumed = train_model(model2, train, val, cfg, start_epoch=2)
             # momentum state restarts on resume, so only the pre-break epochs
             # are required to line up exactly
